@@ -7,9 +7,12 @@ pure-Python kernels are the fallback.
 
 from __future__ import annotations
 
+import logging
 import os
 
 from . import _kernels_py
+
+_log = logging.getLogger("tumbling")
 
 _forced = os.environ.get("TB_BACKEND", "").strip().lower()
 
@@ -33,6 +36,7 @@ else:
 def kernels_for(n: int):
     """Kernel module able to handle an n-vertex instance."""
     if n > _impl.MAX_N:
+        _log.debug("n=%d exceeds MAX_N=%d of the %s kernel; using pure Python", n, _impl.MAX_N, BACKEND)
         return _kernels_py
     return _impl
 

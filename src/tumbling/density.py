@@ -8,6 +8,7 @@ certified density bounds for the percentage parameters.
 
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ from fractions import Fraction
 from .lattice import FamilyKind, FamilySpec, VertexAddr, family_blocks, block_members, tb_neighbors
 from .quotient import LatticeQuotient, build_quotient, enumerate_hnf, tb_ball, validate_quotient
 from .solvers import ParamKind, solve
+
+_log = logging.getLogger("tumbling")
 
 
 class NoValidQuotientError(ValueError):
@@ -112,7 +115,8 @@ def density_sweep(
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 records = list(pool.map(_solve_one, tasks))
-        except OSError:
+        except OSError as exc:
+            _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(tasks))
             records = [_solve_one(t) for t in tasks]
     else:
         records = [_solve_one(t) for t in tasks]

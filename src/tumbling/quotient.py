@@ -9,12 +9,16 @@ a vertex set on a quotient lifts to a periodic set with the same density.
 ``validate_quotient`` checks the stronger soundness condition used by the
 density searches: every breadth-first ball of a given radius in the quotient
 must be isomorphic, via the canonical projection, to the corresponding ball
-of the infinite lattice.
+of the infinite lattice.  Whether that holds depends on the sublattice
+alone, so the check is arithmetic: no lattice vector may equal the block
+offset between two same-class vertices at distance at most 2*radius (see
+:func:`validate_quotient`).  No quotient graph is built to decide it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graph import FiniteGraph
 from .lattice import VClass, VertexAddr, tb_neighbors
@@ -100,6 +104,18 @@ def tb_ball(root: VertexAddr, radius: int) -> dict[VertexAddr, int]:
     return dist
 
 
+@cache
+def _forbidden_offsets(radius: int) -> tuple[tuple[int, int], ...]:
+    """Block offsets z - y between same-class vertices y != z at distance at
+    most 2*radius: 6, 18 and 36 offsets for radius 1, 2 and 3."""
+    offsets = set()
+    for cls in VClass:
+        root = VertexAddr(cls, 0, 0)
+        ball = tb_ball(root, 2 * radius)
+        offsets.update((z.i, z.j) for z in ball if z.cls == cls and z != root)
+    return tuple(sorted(offsets))
+
+
 def validate_quotient(q: LatticeQuotient, radius: int) -> bool:
     """True iff every radius-ball of the quotient matches the infinite lattice.
 
@@ -107,29 +123,36 @@ def validate_quotient(q: LatticeQuotient, radius: int) -> bool:
     not create extra adjacencies between ball members; this makes any local
     condition of the given radius transfer exactly between the quotient and
     the periodic lift.
+
+    Every way this can fail, including the neighborhood folding that makes
+    :func:`build_quotient` raise, comes down to one pair: for some vertex x
+    the projection identifies some y in the radius-ball B_r(x) with some
+    z != y in B_{r+1}(x).
+
+    * A folded neighborhood is such a pair inside B_1(x); a folded ball is
+      one inside B_r(x).
+    * A quotient edge with no lattice counterpart joins the images of two
+      ball members x' and y; it lifts to an edge x'z with z != y, and z lies
+      in B_{r+1}(x).
+    * Conversely, if z lies outside B_r(x) it is adjacent to some x' in
+      B_r(x).  Either y is another neighbor of x' (a folded neighborhood) or
+      the quotient edge from x' to the image of z = image of y has no lattice
+      counterpart.
+
+    Such pairs are exactly the same-class pairs at distance at most 2r: the
+    distance is at most 2r + 1 and even, because the lattice is bipartite
+    with U on one side, and a geodesic of length 2r has a midpoint x with
+    both ends in B_r(x).  The projection identifies y and z exactly when they
+    share a class and (z.i - y.i, z.j - y.j) is a lattice vector, and block
+    translations act transitively on each class, so the quotient is valid
+    iff no offset of :func:`_forbidden_offsets` lies in the sublattice.  No
+    graph is built and no ball is searched per quotient.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    try:
-        g = build_quotient(q)
-    except DegenerateQuotientError:
-        return False
-    for root in g.labels:
-        ball = tb_ball(root, radius)
-        projected = {}
-        for x in ball:
-            px = q.reduce_addr(x)
-            if px in projected:
-                return False  # projection folds two ball vertices together
-            projected[px] = x
-        for x in ball:
-            nbrs_x = set(tb_neighbors(x))
-            vx = g.index_of(q.reduce_addr(x))
-            for nb_idx in g.adj[vx]:
-                nb_lab = g.labels[nb_idx]
-                if nb_lab in projected and projected[nb_lab] not in nbrs_x:
-                    return False  # quotient edge with no infinite counterpart
-    return True
+    if radius >= 3 * q.det:
+        return False  # B_r holds a geodesic of r + 1 > 3*det vertices
+    return all(q.reduce(di, dj) != (0, 0) for di, dj in _forbidden_offsets(radius))
 
 
 def enumerate_hnf(max_det: int) -> list[LatticeQuotient]:

@@ -280,11 +280,16 @@ def _lex_min_cover(kern, n: int, reqs: list[int], k: int) -> int:
     return chosen
 
 
-def _lex_min_pack(kern, n: int, cov: list[int], best: int) -> int:
+def _lex_min_pack(kern, n: int, cov: list[int], best: int, kind: ParamKind) -> int:
     """Canonical optimal packing: fewest vertices, then lexicographically least."""
     size = 0
     while not kern.pack_feasible(n, cov, 0, 0, best, size):
         size += 1
+        if size > n:
+            raise RuntimeError(
+                f"kernel bug: {kind.value} on n={n}: pack_feasible finds no packing "
+                f"covering {best} vertices, although solve_pack did"
+            )
     chosen = 0
     banned = 0
     count = 0
@@ -318,7 +323,7 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True) -> SolveR
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
         value, wit_mask, nodes = kern.solve_pack(g.n, cov)
         if deterministic:
-            wit_mask = _lex_min_pack(kern, g.n, cov, value)
+            wit_mask = _lex_min_pack(kern, g.n, cov, value, kind)
     witness = _mask_to_tuple(wit_mask)
     if not verify_witness(g, kind, witness, value):
         raise RuntimeError(f"solver bug: witness failed re-verification for {kind}")

@@ -131,3 +131,20 @@ def test_share_total_over_fundamental_domain():
     assert rec.density == Fraction(8, 27)
     g = build_quotient(rec.quotient)
     assert sum(share(g, rec.witness, x) for x in rec.witness) == 27
+
+
+def test_sweep_falls_back_to_serial_with_warning(monkeypatch, caplog):
+    import logging
+
+    import tumbling.density as density_mod
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no process pool here")
+
+    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", no_pool)
+    with caplog.at_level(logging.WARNING, logger="tumbling"):
+        records = density_mod.density_sweep(ParamKind.GAMMA, 6, threads=2)
+    assert len(records) > 4
+    serial = density_mod.density_sweep(ParamKind.GAMMA, 6, threads=1)
+    assert [r.quotient for r in records] == [r.quotient for r in serial]
+    assert any(rec.levelno == logging.WARNING and "serially" in rec.getMessage() for rec in caplog.records)

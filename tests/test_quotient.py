@@ -1,11 +1,11 @@
-"""Quotient construction, degeneracy, ball validation, HNF enumeration."""
+"""Quotient construction, degeneracy, arithmetic validation, HNF enumeration."""
 
 import random
 
 import pytest
 
 from tumbling.graph import bipartition
-from tumbling.lattice import VClass
+from tumbling.lattice import VClass, tb_neighbors
 from tumbling.quotient import (
     DegenerateQuotientError,
     LatticeQuotient,
@@ -82,6 +82,63 @@ def test_validate_rejects_folded_balls():
     # det 3 has only 9 vertices but radius-2 balls have 13..16 vertices
     assert validate_quotient(LatticeQuotient(3, 2, 1), 2) is False
     assert validate_quotient(LatticeQuotient(3, 0, 3), 2) is True
+
+
+def ball_oracle(q: LatticeQuotient, radius: int) -> bool:
+    """Validity by definition: build the quotient and compare the radius-ball
+    around every one of its 3*det roots with the infinite lattice.
+
+    Independent of ``validate_quotient``: it runs its own breadth-first
+    search and uses no offset table.
+    """
+    try:
+        g = build_quotient(q)
+    except DegenerateQuotientError:
+        return False
+    for root in g.labels:
+        ball = {root}
+        frontier = [root]
+        for _ in range(radius):
+            frontier = [y for x in frontier for y in tb_neighbors(x) if y not in ball]
+            ball.update(frontier)
+        projected = {}
+        for x in ball:
+            px = q.reduce_addr(x)
+            if px in projected:
+                return False  # projection folds two ball vertices together
+            projected[px] = x
+        for x in ball:
+            nbrs_x = set(tb_neighbors(x))
+            vx = g.index_of(q.reduce_addr(x))
+            for nb_idx in g.adj[vx]:
+                nb_lab = g.labels[nb_idx]
+                if nb_lab in projected and projected[nb_lab] not in nbrs_x:
+                    return False  # quotient edge with no infinite counterpart
+    return True
+
+
+def test_validate_matches_ball_oracle():
+    pairs = [(q, r) for q in enumerate_hnf(24) for r in (1, 2, 3)]
+    assert len(pairs) == 1473
+    mismatches = [(str(q), r) for q, r in pairs if validate_quotient(q, r) != ball_oracle(q, r)]
+    assert mismatches == []
+    # both verdicts occur at every radius, so the agreement is not vacuous
+    for r in (1, 2, 3):
+        verdicts = {validate_quotient(q, r) for q, rr in pairs if rr == r}
+        assert verdicts == {True, False}
+
+
+def test_validate_radius_bounds():
+    with pytest.raises(ValueError):
+        validate_quotient(LatticeQuotient(6, 0, 6), 0)
+    # a radius past the quotient's size is rejected without building a ball
+    assert validate_quotient(LatticeQuotient(1, 0, 1), 10**6) is False
+
+
+def test_forbidden_offset_counts():
+    from tumbling.quotient import _forbidden_offsets
+
+    assert [len(_forbidden_offsets(r)) for r in (1, 2, 3)] == [6, 18, 36]
 
 
 def test_ball_sizes_in_infinite_lattice():

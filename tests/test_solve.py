@@ -7,6 +7,7 @@ from conftest import complete, cycle, oracle_corpus, path, random_graph
 from tumbling import _kernels_py
 from tumbling.graph import FiniteGraph
 from tumbling.lattice import u, v, w
+from tumbling.quotient import LatticeQuotient, build_quotient
 from tumbling.solvers import (
     InfeasibleError,
     ParamKind,
@@ -19,6 +20,7 @@ from tumbling.solvers import (
     max_efficient_open,
     min_dominating,
     min_open_dominating,
+    _cover_requirements,
     solve,
     verify_witness,
 )
@@ -200,3 +202,57 @@ def test_solve_stats_populated(block):
     res = min_dominating(block)
     assert res.stats.nodes >= 1
     assert res.stats.elapsed >= 0
+
+
+# every kernel that imports: pure Python always, the compiled one when built
+@pytest.fixture(params=["tumbling._kernels_py", "tumbling._kernels"])
+def kernel(request):
+    return pytest.importorskip(request.param)
+
+
+# instances on either side of the 32- and 64-bit word boundaries
+WORD_BOUNDARY_GRAPHS = [pytest.param(cycle(n), id=f"C{n}") for n in (31, 32, 33, 63, 64, 65)] + [
+    pytest.param(build_quotient(LatticeQuotient(4, 0, 4)), id="q(4,0,4)")
+]
+
+
+@pytest.mark.parametrize("g", WORD_BOUNDARY_GRAPHS)
+def test_kernel_word_boundary_consistency(kernel, g):
+    n = g.n
+    for cov in (list(g.closed_masks()), list(g.open_masks())):
+        best, _, _ = kernel.solve_pack(n, cov)
+        assert best == _kernels_py.solve_pack(n, cov)[0]
+        assert kernel.pack_feasible(n, cov, 0, 0, best, n)
+        assert not kernel.pack_feasible(n, cov, 0, 0, best + 1, n)
+    reqs = _cover_requirements(g, ParamKind.GAMMA)
+    opt, _, _ = kernel.solve_cover(n, reqs)
+    assert opt == _kernels_py.solve_cover(n, reqs)[0]
+    assert kernel.cover_feasible(n, reqs, 0, 0, opt)
+    assert not kernel.cover_feasible(n, reqs, 0, 0, opt - 1)
+
+
+def test_canonical_packing_fails_loudly_on_inconsistent_kernel(monkeypatch):
+    import types
+
+    import tumbling.solvers as solve_mod
+
+    stub = types.SimpleNamespace(
+        MAX_N=_kernels_py.MAX_N,
+        solve_pack=_kernels_py.solve_pack,
+        pack_feasible=lambda *args: False,
+    )
+    monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
+    with pytest.raises(RuntimeError, match=r"f on n=6"):
+        solve(cycle(6), ParamKind.F_MAX)
+
+
+def test_kernels_for_logs_fallback(monkeypatch, caplog):
+    import logging
+    import types
+
+    import tumbling._backend as backend
+
+    monkeypatch.setattr(backend, "_impl", types.SimpleNamespace(MAX_N=8))
+    with caplog.at_level(logging.DEBUG, logger="tumbling"):
+        assert backend.kernels_for(9) is _kernels_py
+    assert any(rec.levelno == logging.DEBUG and "n=9" in rec.getMessage() for rec in caplog.records)
