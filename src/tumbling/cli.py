@@ -136,6 +136,9 @@ def _doc_payload(doc: GraphDocument) -> dict:
 
 
 def _emit(payload: dict, path: str) -> None:
+    """Write a record for ``tb verify``, stamped with the kernel backend and
+    package version that produced it (``tb verify`` ignores both)."""
+    payload = {**payload, "backend": backend_name(), "version": __version__}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

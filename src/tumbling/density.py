@@ -4,19 +4,36 @@ A pattern on a validated quotient lifts to a periodic pattern of the same
 density on the infinite lattice, so sweeping all Hermite-normal-form
 quotients up to a determinant bound and solving each one exactly yields
 certified density bounds for the percentage parameters.
+
+Quotients related by a symmetry of the lattice (one point-group orbit, see
+:func:`tumbling.quotient.quotient_orbits`) are isomorphic graphs, so a sweep
+solves only the first quotient of each orbit.  Every other quotient gets the
+representative's optimum, with the witness carried across by the induced
+vertex map.  That map is checked to be a graph isomorphism, and the carried
+witness is re-verified on the quotient's own graph, before the record is
+returned.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import FamilyKind, FamilySpec, VertexAddr, family_blocks, block_members, tb_neighbors
-from .quotient import LatticeQuotient, build_quotient, enumerate_hnf, tb_ball, validate_quotient
-from .solvers import ParamKind, solve
+from .quotient import (
+    LatticeQuotient,
+    LatticeSymmetry,
+    build_quotient,
+    enumerate_hnf,
+    quotient_orbits,
+    tb_ball,
+    validate_quotient,
+)
+from .solvers import ParamKind, SolveStats, solve, verify_witness
 
 _log = logging.getLogger("tumbling")
 
@@ -64,22 +81,27 @@ def min_density(kind: ParamKind, q: LatticeQuotient, deterministic: bool = True)
     radius = required_radius(kind)
     if not validate_quotient(q, radius):
         raise ValueError(f"quotient {q} fails validation at radius {radius}")
-    g = build_quotient(q)
-    res = solve(g, kind, deterministic=deterministic)
-    return DensityRecord(
+    return _solve_quotient(kind, q, deterministic)[0]
+
+
+def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) -> tuple[DensityRecord, SolveStats]:
+    """Exact solve on a quotient that the caller has already validated at
+    ``required_radius(kind)``."""
+    res = solve(build_quotient(q), kind, deterministic=deterministic)
+    record = DensityRecord(
         kind=kind,
         quotient=q,
         size=res.value,
         density=Fraction(res.value, 3 * q.det),
         witness=res.witness,
-        validated_radius=radius,
+        validated_radius=required_radius(kind),
     )
+    return record, res.stats
 
 
 def _solve_one(args):
     kind_value, a, c, d, deterministic = args
-    kind = ParamKind(kind_value)
-    return min_density(kind, LatticeQuotient(a, c, d), deterministic=deterministic)
+    return _solve_quotient(ParamKind(kind_value), LatticeQuotient(a, c, d), deterministic)
 
 
 def _thread_budget() -> int:
@@ -99,28 +121,78 @@ def density_sweep(
     threads: int | None = None,
     deterministic: bool = False,
 ) -> list[DensityRecord]:
-    """Solve the parameter on every validated quotient with det <= max_det.
+    """Optimum of the parameter on every validated quotient with det <= max_det.
 
-    Records come back in (det, a, c) order regardless of how many worker
-    processes ran, so downstream folds are deterministic.  Witnesses are
-    canonicalized only on request; the optimum values never depend on it.
+    Only the first quotient of each point-group orbit is solved; the other
+    members take its size and density, and its witness mapped through the
+    symmetry (see :func:`_carry_record`).  Records come back in (det, a, c)
+    order, one per valid quotient, regardless of how many worker processes
+    ran, so downstream folds are deterministic.  Witnesses of solved
+    quotients are canonicalized only on request; carried witnesses are
+    images of those and need not be canonical on their own quotient.  The
+    optimum values never depend on it.
     """
     quots = valid_quotients(max_det, required_radius(kind))
     if not quots:
         return []
+    orbits = quotient_orbits(quots)
+    reps = [q for q in quots if orbits[q][0] == q]
     if threads is None:
         threads = _thread_budget()
-    tasks = [(kind.value, q.a, q.c, q.d, deterministic) for q in quots]
+    tasks = [(kind.value, q.a, q.c, q.d, deterministic) for q in reps]
     if threads > 1 and len(tasks) > 4:
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(_solve_one, tasks))
+                results = list(pool.map(_solve_one, tasks))
         except OSError as exc:
             _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(tasks))
-            records = [_solve_one(t) for t in tasks]
+            results = [_solve_one(t) for t in tasks]
     else:
-        records = [_solve_one(t) for t in tasks]
-    return records
+        results = [_solve_one(t) for t in tasks]
+
+    orbit_size = Counter(rep for rep, _g in orbits.values())
+    solved = {}
+    for q, (record, stats) in zip(reps, results):
+        solved[q] = record
+        _log.debug(
+            "%s on %s: orbit of %d, %d nodes, %.3fs", kind.value, q, orbit_size[q], stats.nodes, stats.elapsed
+        )
+    slowest_q, (_rec, slowest) = max(zip(reps, results), key=lambda item: item[1][1].elapsed)
+    _log.info(
+        "%s sweep to det %d: %d valid quotients, %d representatives solved, slowest %s (%.3fs)",
+        kind.value, max_det, len(quots), len(reps), slowest_q, slowest.elapsed,
+    )
+    return [
+        solved[q] if q in solved else _carry_record(solved[orbits[q][0]], q, orbits[q][1])
+        for q in quots
+    ]
+
+
+def _carry_record(rec: DensityRecord, q: LatticeQuotient, g: LatticeSymmetry) -> DensityRecord:
+    """The record of ``rec`` carried onto quotient ``q`` by the vertex map
+    x -> q.reduce_addr(g.apply(x)).
+
+    Raises RuntimeError unless the map is an isomorphism of the two quotient
+    graphs and the carried witness passes ``verify_witness`` on q's graph.
+    """
+    src, dst = build_quotient(rec.quotient), build_quotient(q)
+    index = {lab: k for k, lab in enumerate(dst.labels)}
+    phi = [index[q.reduce_addr(g.apply(lab))] for lab in src.labels]
+    if sorted(phi) != list(range(dst.n)) or any(
+        {phi[y] for y in src.adj[x]} != set(dst.adj[phi[x]]) for x in range(src.n)
+    ):
+        raise RuntimeError(f"symmetry {g} does not map quotient {rec.quotient} onto {q}")
+    witness = tuple(sorted(phi[x] for x in rec.witness))
+    if not verify_witness(dst, rec.kind, witness, rec.size):
+        raise RuntimeError(f"witness carried from {rec.quotient} fails re-verification on {q}")
+    return DensityRecord(
+        kind=rec.kind,
+        quotient=q,
+        size=rec.size,
+        density=rec.density,
+        witness=witness,
+        validated_radius=rec.validated_radius,
+    )
 
 
 def search(kind: ParamKind, max_det: int, threads: int | None = None) -> DensityRecord:
@@ -137,8 +209,10 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
         return (lead, rec.quotient.det, rec.quotient.a, rec.quotient.c)
 
     best = min(records, key=key)
-    # canonical witness for the winner only; the sweep skips the lex pass
-    return min_density(kind, best.quotient, deterministic=True)
+    # canonical witness for the winner only; the sweep skips the lex pass.
+    # The winner is an orbit representative, first in (det, a, c) order
+    # among quotients of its density, and already validated.
+    return _solve_quotient(kind, best.quotient, deterministic=True)[0]
 
 
 def f_fraction(q: LatticeQuotient) -> DensityRecord:
@@ -153,8 +227,12 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
     cardinality, and a perfect open-dominating pattern always has density
     exactly 2/9 on this lattice (one U and one W/V neighbor-source per nine
     vertices)."""
-    for q in enumerate_hnf(max_det):
-        if not validate_quotient(q, 2):
+    quots = valid_quotients(max_det, 2)
+    orbits = quotient_orbits(quots)
+    # an exact open cover is an isomorphism invariant, so the first quotient
+    # that has one is the first of its orbit
+    for q in quots:
+        if orbits[q][0] != q:
             continue
         g = build_quotient(q)
         res = solve(g, ParamKind.F_OP_MAX)

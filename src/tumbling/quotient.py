@@ -13,12 +13,20 @@ of the infinite lattice.  Whether that holds depends on the sublattice
 alone, so the check is arithmetic: no lattice vector may equal the block
 offset between two same-class vertices at distance at most 2*radius (see
 :func:`validate_quotient`).  No quotient graph is built to decide it.
+
+The infinite graph has twelve automorphisms that fix ``u(0,0)`` (the point
+group D6, :data:`POINT_GROUP`).  Each acts on block coordinates by a matrix
+M in GL(2, Z), so it carries the quotient by a sublattice L onto the
+quotient by M*L, and the two are isomorphic graphs.  :func:`quotient_orbits`
+groups quotients into these orbits, so a density sweep can solve one
+quotient per orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .graph import FiniteGraph
 from .lattice import VClass, VertexAddr, tb_neighbors
@@ -165,3 +173,95 @@ def enumerate_hnf(max_det: int) -> list[LatticeQuotient]:
             d = det // a
             out.extend(LatticeQuotient(a, c, d) for c in range(a))
     return out
+
+
+# ---------------------------------------------------------------------------
+# point group: lattice automorphisms fixing u(0,0)
+# ---------------------------------------------------------------------------
+
+class LatticeSymmetry(NamedTuple):
+    """Automorphism (cls, i, j) -> (cls', M*(i, j) + shift) of the infinite lattice.
+
+    ``m`` is M = [[m[0], m[1]], [m[2], m[3]]] in row-major order.  ``swap``
+    exchanges the W and V classes; U vertices are never shifted, so u(0,0)
+    is fixed.  ``w_shift`` and ``v_shift`` are the shifts of the images of
+    W and V vertices.
+    """
+
+    m: tuple[int, int, int, int]
+    swap: bool
+    w_shift: tuple[int, int]
+    v_shift: tuple[int, int]
+
+    def apply(self, x: VertexAddr) -> VertexAddr:
+        m0, m1, m2, m3 = self.m
+        cls = x.cls
+        di, dj = (0, 0) if cls == VClass.U else self.w_shift if cls == VClass.W else self.v_shift
+        if self.swap and cls != VClass.U:
+            cls = VClass.V if cls == VClass.W else VClass.W
+        return VertexAddr(cls, m0 * x.i + m1 * x.j + di, m2 * x.i + m3 * x.j + dj)
+
+    def image(self, q: LatticeQuotient) -> LatticeQuotient:
+        """HNF basis of M*L, where L is the sublattice of ``q``."""
+        m0, m1, m2, m3 = self.m
+        # images of the basis vectors (a, 0) and (c, d)
+        x1, y1 = m0 * q.a, m2 * q.a
+        x2, y2 = m0 * q.c + m1 * q.d, m2 * q.c + m3 * q.d
+        d, s, t = _ext_gcd(y1, y2)
+        a = q.det // d
+        return LatticeQuotient(a, (s * x1 + t * x2) % a, d)
+
+
+def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(x, y) >= 0 and g = s*x + t*y."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        k = x // y
+        x, y = y, x - k * y
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
+#: The twelve automorphisms of the infinite lattice that fix u(0,0): the
+#: dihedral group D6.  Rotations by odd multiples of 60 degrees swap W and V;
+#: the rotations by 120 and 240 degrees keep them.  The identity comes first.
+POINT_GROUP: tuple[LatticeSymmetry, ...] = (
+    LatticeSymmetry((1, 0, 0, 1), False, (0, 0), (0, 0)),      # identity
+    LatticeSymmetry((0, 1, -1, 1), True, (-1, 0), (0, 0)),     # rotation 60
+    LatticeSymmetry((-1, 1, -1, 0), False, (0, 1), (-1, 0)),   # rotation 120
+    LatticeSymmetry((-1, 0, 0, -1), True, (0, 1), (0, 1)),     # rotation 180
+    LatticeSymmetry((0, -1, 1, -1), False, (1, 1), (0, 1)),    # rotation 240
+    LatticeSymmetry((1, -1, 1, 0), True, (0, 0), (1, 1)),      # rotation 300
+    LatticeSymmetry((1, 0, 1, -1), False, (0, 1), (0, 1)),     # reflections
+    LatticeSymmetry((-1, 1, 0, 1), False, (0, 0), (-1, 0)),
+    LatticeSymmetry((0, -1, -1, 0), False, (1, 1), (0, 0)),
+    LatticeSymmetry((-1, 0, -1, 1), True, (0, 0), (0, 0)),
+    LatticeSymmetry((0, 1, 1, 0), True, (-1, 0), (0, 1)),
+    LatticeSymmetry((1, -1, 0, -1), True, (0, 1), (1, 1)),
+)
+
+
+def quotient_orbits(
+    quots: list[LatticeQuotient],
+) -> dict[LatticeQuotient, tuple[LatticeQuotient, LatticeSymmetry]]:
+    """Map each quotient to its orbit representative and a symmetry g with
+    g.image(representative) == quotient.
+
+    The representative is the orbit member that comes first in (det, a, c)
+    order; it maps to itself under the identity.  Only images that are in
+    ``quots`` count as orbit members.  Validity at any radius is preserved by
+    the point group, so the valid quotients up to a determinant bound are a
+    union of whole orbits.
+    """
+    members = set(quots)
+    orbits: dict[LatticeQuotient, tuple[LatticeQuotient, LatticeSymmetry]] = {}
+    for q in sorted(members, key=lambda q: (q.det, q.a, q.c)):
+        if q in orbits:
+            continue
+        orbits[q] = (q, POINT_GROUP[0])
+        for g in POINT_GROUP[1:]:
+            image = g.image(q)
+            if image in members and image not in orbits:
+                orbits[image] = (q, g)
+    return {q: orbits[q] for q in quots}

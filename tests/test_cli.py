@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from tumbling import __version__, backend_name
 from tumbling.cli import main
 
 
@@ -90,11 +91,18 @@ def test_solve_old_on_c4_lists_twins(capsys, tmp_path):
     assert "(0, 2)" in err and "(1, 3)" in err
 
 
+def _assert_stamped(path):
+    payload = json.loads(path.read_text())
+    assert payload["backend"] == backend_name()
+    assert payload["version"] == __version__
+
+
 def test_solve_emit_verify_round_trip(capsys, tmp_path):
     rec = tmp_path / "rec.json"
     code, _, _ = run(capsys, "solve", "--family", "tbt", "--rows", "1",
                      "--param", "ld", "--emit", str(rec))
     assert code == 0
+    _assert_stamped(rec)
     code, out, _ = run(capsys, "verify", "--input", str(rec))
     assert code == 0
     assert "OK" in out
@@ -139,6 +147,7 @@ def test_density_emit_verify(capsys, tmp_path):
                        "--emit", str(rec))
     assert code == 0
     assert "best density: 1/5" in out
+    _assert_stamped(rec)
     code, out, _ = run(capsys, "verify", "--input", str(rec))
     assert code == 0
     assert "OK" in out
@@ -175,6 +184,7 @@ def test_hamilton_cut_certificate(capsys, tmp_path):
     assert code == 0
     assert "24 isolated" in out
     assert "certificate: valid" in out
+    _assert_stamped(rec)
     code, out, _ = run(capsys, "verify", "--input", str(rec))
     assert code == 0
     assert "OK" in out

@@ -5,18 +5,24 @@ from fractions import Fraction
 
 import pytest
 
+import logging
+
+import tumbling.density as density_mod
+import tumbling.quotient as quotient_mod
 from tumbling.density import (
     DensityRecord,
     NoValidQuotientError,
+    density_sweep,
     f_fraction,
     lift_check,
     min_density,
     perfect_open_pattern,
     required_radius,
     search,
+    valid_quotients,
 )
-from tumbling.quotient import LatticeQuotient
-from tumbling.solvers import ParamKind
+from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits
+from tumbling.solvers import ParamKind, verify_witness
 
 
 def test_required_radius():
@@ -134,10 +140,6 @@ def test_share_total_over_fundamental_domain():
 
 
 def test_sweep_falls_back_to_serial_with_warning(monkeypatch, caplog):
-    import logging
-
-    import tumbling.density as density_mod
-
     def no_pool(*args, **kwargs):
         raise OSError("no process pool here")
 
@@ -148,3 +150,87 @@ def test_sweep_falls_back_to_serial_with_warning(monkeypatch, caplog):
     serial = density_mod.density_sweep(ParamKind.GAMMA, 6, threads=1)
     assert [r.quotient for r in records] == [r.quotient for r in serial]
     assert any(rec.levelno == logging.WARNING and "serially" in rec.getMessage() for rec in caplog.records)
+
+
+@pytest.mark.parametrize("kind", list(ParamKind), ids=lambda k: k.value)
+def test_orbit_sweep_matches_full_sweep(kind):
+    """One solve per point-group orbit gives the same records as solving
+    every valid quotient, and the same search result."""
+    full = [min_density(kind, q, deterministic=False) for q in valid_quotients(12, required_radius(kind))]
+    reduced = density_sweep(kind, 12, threads=1)
+    assert [r.quotient for r in reduced] == [r.quotient for r in full]
+    assert [(r.size, r.density) for r in reduced] == [(r.size, r.density) for r in full]
+    for rec in reduced:
+        assert verify_witness(build_quotient(rec.quotient), kind, rec.witness, rec.size)
+
+    def key(rec):
+        lead = rec.density if kind.minimizes else -rec.density
+        return (lead, rec.quotient.det, rec.quotient.a, rec.quotient.c)
+
+    assert search(kind, 12, threads=1) == min_density(kind, min(full, key=key).quotient)
+
+
+def test_sweep_solves_only_representatives(monkeypatch):
+    solved = []
+    real_solve = density_mod.solve
+
+    def recording_solve(g, kind, deterministic=True):
+        solved.append(g.n)
+        return real_solve(g, kind, deterministic=deterministic)
+
+    monkeypatch.setattr(density_mod, "solve", recording_solve)
+    records = density_sweep(ParamKind.LD, 12, threads=1)
+    assert (len(records), len(solved)) == (40, 10)
+
+
+def _broken_point_group():
+    # rotation by 60 degrees with the W shift dropped: the matrix is a true
+    # symmetry, so the orbits stay the same, but the vertex map is wrong
+    rot = POINT_GROUP[1]
+    assert rot.w_shift != (0, 0)
+    return (POINT_GROUP[0], rot._replace(w_shift=(0, 0))) + POINT_GROUP[2:]
+
+
+def test_sweep_raises_on_wrong_symmetry(monkeypatch):
+    monkeypatch.setattr(quotient_mod, "POINT_GROUP", _broken_point_group())
+    with pytest.raises(RuntimeError, match="does not map"):
+        density_sweep(ParamKind.GAMMA, 8, threads=1)
+
+
+def test_sweep_raises_when_carried_witness_fails(monkeypatch):
+    monkeypatch.setattr(density_mod, "verify_witness", lambda *args: False)
+    with pytest.raises(RuntimeError, match="re-verification"):
+        density_sweep(ParamKind.LD, 9, threads=1)
+
+
+def test_perfect_open_pattern_solves_only_representatives(monkeypatch):
+    built = []
+    real_build = density_mod.build_quotient
+
+    def recording_build(q):
+        built.append(q)
+        return real_build(q)
+
+    monkeypatch.setattr(density_mod, "build_quotient", recording_build)
+    rec = perfect_open_pattern(12)
+    assert rec.quotient == LatticeQuotient(3, 0, 3)
+    orbits = quotient_orbits(valid_quotients(12, 2))
+    assert built and all(orbits[q][0] == q for q in built)
+
+
+def test_sweep_logs_each_representative_and_a_summary(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tumbling"):
+        records = density_sweep(ParamKind.OLD, 9, threads=1)
+    orbits = quotient_orbits([r.quotient for r in records])
+    reps = [q for q, (rep, _g) in orbits.items() if rep == q]
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(debug) == len(reps) < len(records)
+    for q, msg in zip(reps, debug):
+        size = sum(rep == q for rep, _g in orbits.values())
+        assert msg.startswith(f"old on {q}: orbit of {size}, ")
+        assert " nodes, " in msg and msg.endswith("s")
+    assert len(info) == 1
+    assert info[0].startswith(
+        f"old sweep to det 9: {len(records)} valid quotients, {len(reps)} representatives solved, slowest ("
+    )

@@ -1,16 +1,21 @@
-"""Quotient construction, degeneracy, arithmetic validation, HNF enumeration."""
+"""Quotient construction, degeneracy, arithmetic validation, HNF enumeration,
+point-group symmetries and orbits."""
 
+import itertools
 import random
 
 import pytest
 
 from tumbling.graph import bipartition
-from tumbling.lattice import VClass, tb_neighbors
+from tumbling.lattice import VClass, VertexAddr, tb_neighbors
 from tumbling.quotient import (
+    POINT_GROUP,
     DegenerateQuotientError,
     LatticeQuotient,
+    LatticeSymmetry,
     build_quotient,
     enumerate_hnf,
+    quotient_orbits,
     tb_ball,
     validate_quotient,
 )
@@ -170,3 +175,114 @@ def test_all_valid_quotients_have_lattice_degrees():
             assert g.degree(k) == (6 if lab.cls == VClass.U else 3)
         part_rest, part_u = bipartition(g)
         assert (len(part_rest), len(part_u)) == (2 * q.det, q.det)
+
+
+# ---------------------------------------------------------------------------
+# point group and orbits
+# ---------------------------------------------------------------------------
+
+ROOTS = [VertexAddr(cls, 0, 0) for cls in VClass]
+
+
+def _maps_neighbors(f, probe) -> bool:
+    """Whether f maps the neighbors of x onto the neighbors of f(x) for every
+    x in ``probe``."""
+    return all({f(y) for y in tb_neighbors(x)} == set(tb_neighbors(f(x))) for x in probe)
+
+
+def _affine(m, swap, w_shift, v_shift):
+    """The map (cls, i, j) -> (cls', M*(i, j) + shift), written out directly."""
+    def f(x):
+        cls, i, j = x
+        if cls == VClass.U:
+            cls2, (di, dj) = VClass.U, (0, 0)
+        elif cls == VClass.W:
+            cls2, (di, dj) = (VClass.V if swap else VClass.W), w_shift
+        else:
+            cls2, (di, dj) = (VClass.W if swap else VClass.V), v_shift
+        return VertexAddr(cls2, m[0] * i + m[1] * j + di, m[2] * i + m[3] * j + dj)
+
+    return f
+
+
+def test_point_group_is_exactly_the_small_automorphisms():
+    # every map with M entries in {-1, 0, 1}, U fixed at u(0,0), W/V kept or
+    # swapped and shifted by at most 2 in each coordinate
+    shifts = list(itertools.product(range(-2, 3), repeat=2))
+    probe = [x for root in ROOTS for x in tb_ball(root, 4)]  # roots come first
+    found = set()
+    for m in itertools.product((-1, 0, 1), repeat=4):
+        for swap in (False, True):
+            for ws in shifts:
+                for vs in shifts:
+                    if _maps_neighbors(_affine(m, swap, ws, vs), probe):
+                        found.add(LatticeSymmetry(m, swap, ws, vs))
+    assert len(found) == 12
+    assert found == set(POINT_GROUP)
+    assert POINT_GROUP[0] == LatticeSymmetry((1, 0, 0, 1), False, (0, 0), (0, 0))
+
+
+def test_point_group_apply_matches_definition():
+    probe = [x for root in ROOTS for x in tb_ball(root, 3)]
+    for g in POINT_GROUP:
+        f = _affine(*g)
+        assert all(g.apply(x) == f(x) for x in probe)
+        assert g.apply(u(0, 0)) == u(0, 0)
+
+
+def test_point_group_closed_under_composition():
+    probe = [x for root in ROOTS for x in tb_ball(root, 2)]
+    for g, h in itertools.product(POINT_GROUP, repeat=2):
+        composed = [g.apply(h.apply(x)) for x in probe]
+        matches = [k for k in POINT_GROUP if [k.apply(x) for x in probe] == composed]
+        assert len(matches) == 1, (g, h)
+
+
+def test_images_are_hnf_with_same_det_and_validity():
+    for q in enumerate_hnf(24):
+        for g in POINT_GROUP:
+            img = g.image(q)
+            assert img.det == q.det
+            # M*(a, 0) and M*(c, d) lie in the image lattice; with equal
+            # determinants that makes it exactly M*L
+            m0, m1, m2, m3 = g.m
+            assert img.reduce(m0 * q.a, m2 * q.a) == (0, 0)
+            assert img.reduce(m0 * q.c + m1 * q.d, m2 * q.c + m3 * q.d) == (0, 0)
+            for r in (1, 2, 3):
+                assert validate_quotient(img, r) == validate_quotient(q, r), (q, g, r)
+
+
+def _is_isomorphism(q, g) -> bool:
+    """Whether x -> image.reduce_addr(g(x)) is a bijection between the built
+    quotient graphs of q and g.image(q) that maps edges onto edges."""
+    img = g.image(q)
+    src, dst = build_quotient(q), build_quotient(img)
+    phi = {}
+    for k, lab in enumerate(src.labels):
+        phi[k] = dst.index_of(img.reduce_addr(g.apply(lab)))
+    if sorted(phi.values()) != list(range(dst.n)):
+        return False
+    src_edges = {frozenset((phi[x], phi[y])) for x in range(src.n) for y in src.adj[x]}
+    dst_edges = {frozenset((x, y)) for x in range(dst.n) for y in dst.adj[x]}
+    return src_edges == dst_edges
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_symmetry_maps_are_quotient_isomorphisms(radius):
+    quots = [q for q in enumerate_hnf(16) if validate_quotient(q, radius)]
+    assert len(quots) == {1: 174, 2: 97}[radius]
+    for q in quots:
+        for g in POINT_GROUP:
+            assert _is_isomorphism(q, g), (q, g)
+
+
+def test_quotient_orbits_representatives():
+    for radius, max_det, valid, reps in [(1, 14, 125, 34), (2, 12, 40, 10), (2, 20, 180, 39)]:
+        quots = [q for q in enumerate_hnf(max_det) if validate_quotient(q, radius)]
+        orbits = quotient_orbits(quots)
+        assert list(orbits) == quots
+        assert (len(quots), sum(rep == q for q, (rep, _g) in orbits.items())) == (valid, reps)
+        for q, (rep, g) in orbits.items():
+            assert g.image(rep) == q
+            orbit = {h.image(q) for h in POINT_GROUP}
+            assert rep == min(orbit, key=lambda x: (x.det, x.a, x.c))
