@@ -2,7 +2,9 @@
 """Compiled branch-and-bound kernels over fixed-width machine-word bitsets.
 
 Same interface and results as ``_kernels_py``; this backend exists purely
-for speed on the hot subset-search loops.
+for speed on the hot subset-search loops.  As there, the feasibility kernels
+return a witness mask (0 is a valid one) or None, and the cover kernels take
+the requirement list already dominance-filtered, in scan order.
 """
 
 from libc.stdlib cimport malloc, free
@@ -113,7 +115,7 @@ def solve_cover(int n, masks):
     """Minimum hitting set; returns (size, witness mask, node count)."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
-    filtered = _filter_dominated(masks)
+    filtered = list(masks)
     cdef CoverCtx ctx
     ctx.n = n
     ctx.nw = (n + 63) >> 6 if n else 1
@@ -144,6 +146,7 @@ def solve_cover(int n, masks):
 cdef struct FeasCtx:
     int n, nw, m, limit
     u64 *reqs
+    u64 wit[MAXW]
 
 
 cdef bint _cover_feas_rec(FeasCtx *ctx, u64 *chosen, int count, u64 *banned):
@@ -186,6 +189,7 @@ cdef bint _cover_feas_rec(FeasCtx *ctx, u64 *chosen, int count, u64 *banned):
             branch_width = width
             memcpy(branch, cand, nw * sizeof(u64))
     if branch_width == ctx.n + 1:
+        memcpy(ctx.wit, chosen, nw * sizeof(u64))
         return True
     if count + lb > ctx.limit:
         return False
@@ -204,12 +208,13 @@ cdef bint _cover_feas_rec(FeasCtx *ctx, u64 *chosen, int count, u64 *banned):
 
 
 def cover_feasible(int n, masks, forced, banned, int limit):
-    """Existence of a hitting set S with forced <= S, S & banned == 0, |S| <= limit."""
+    """A hitting set S with forced <= S, S & banned == 0, |S| <= limit, as a
+    mask, or None when there is none."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
     if forced & banned:
-        return False
-    filtered = _filter_dominated(masks)
+        return None
+    filtered = list(masks)
     cdef FeasCtx ctx
     ctx.n = n
     ctx.nw = (n + 63) >> 6 if n else 1
@@ -224,11 +229,13 @@ def cover_feasible(int n, masks, forced, banned, int limit):
     try:
         for r, mask in enumerate(filtered):
             if mask == 0:
-                return False
+                return None
             _to_words(mask, ctx.reqs + r * ctx.nw, ctx.nw)
         _to_words(forced, chosen, ctx.nw)
         _to_words(banned, banned_w, ctx.nw)
-        return _cover_feas_rec(&ctx, chosen, bin(forced).count("1"), banned_w)
+        if _cover_feas_rec(&ctx, chosen, bin(forced).count("1"), banned_w):
+            return _from_words(ctx.wit, ctx.nw)
+        return None
     finally:
         free(ctx.reqs)
 
@@ -260,6 +267,7 @@ cdef bint _pack_rec(PackCtx *ctx, u64 *avail, u64 *covered, u64 *chosen,
     ctx.nodes += 1
     if ctx.target >= 0:
         if weight >= ctx.target:
+            memcpy(ctx.best_wit, chosen, nw * sizeof(u64))
             return True
         if count >= ctx.size_cap:
             return False
@@ -374,11 +382,14 @@ def solve_pack(int n, cov_masks):
 
 
 def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
-    """Existence of a conflict-free S >= forced avoiding banned with coverage >= target."""
+    """A conflict-free S >= forced avoiding banned with coverage >= target
+    (and |S| <= size_cap), as a mask, or None when there is none."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
     if forced & banned:
-        return False
+        return None
+    if size_cap is not None and bin(forced).count("1") > size_cap:
+        return None
     cdef PackCtx *ctx = _pack_setup(n, cov_masks)
     cdef u64 avail[MAXW]
     cdef u64 covered[MAXW]
@@ -390,8 +401,8 @@ def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
         ctx.target = target
         ctx.size_cap = size_cap if size_cap is not None else n
         memset(covered, 0, ctx.nw * sizeof(u64))
-        memset(chosen, 0, ctx.nw * sizeof(u64))
         _to_words(forced, forced_w, ctx.nw)
+        memcpy(chosen, forced_w, ctx.nw * sizeof(u64))
         for w in range(ctx.nw):
             avail[w] = 0
         free_mask = ((1 << n) - 1) & ~banned & ~forced if n else 0
@@ -406,15 +417,16 @@ def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
             fm &= fm - 1
             for w in range(ctx.nw):
                 if ctx.conf[b * ctx.nw + w] & forced_w[w]:
-                    return False
+                    return None
             for w in range(ctx.nw):
                 covered[w] |= ctx.cov[b * ctx.nw + w]
                 avail[w] &= ~ctx.conf[b * ctx.nw + w]
         weight = 0
         for w in range(ctx.nw):
             weight += popc64(covered[w])
-        return bool(_pack_rec(ctx, avail, covered, chosen, weight,
-                              bin(forced).count("1")))
+        if _pack_rec(ctx, avail, covered, chosen, weight, bin(forced).count("1")):
+            return _from_words(ctx.best_wit, ctx.nw)
+        return None
     finally:
         _pack_teardown(ctx)
 
@@ -422,14 +434,6 @@ def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
 # ---------------------------------------------------------------------------
 # shared helpers (python-level, setup cost only)
 # ---------------------------------------------------------------------------
-
-def _filter_dominated(masks):
-    out = []
-    for m in sorted(set(masks), key=lambda x: bin(x).count("1")):
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return out
-
 
 def _greedy_cover_py(masks):
     chosen = 0

@@ -8,6 +8,18 @@ Two exact engines back all seven parameter solvers:
 * maximum disjoint-neighborhood packing: find a conflict-free vertex set
   whose coverage masks are pairwise disjoint and cover the most vertices.
 
+Each engine has an optimizing kernel (``solve_cover``, ``solve_pack``),
+which returns the optimum, a witness mask and its node count, and a
+feasibility kernel (``cover_feasible``, ``pack_feasible``) for the
+canonical-witness pass.  A feasibility kernel returns the mask of a set
+that meets every constraint of its call, or ``None`` when no such set
+exists.  The mask 0 is a valid witness (an empty packing reaches target 0),
+so callers test ``is None``, never truthiness.
+
+The requirement list reaches the cover kernels already dominance-filtered
+and in scan order (``solvers`` filters it once per solve); the kernels do
+not filter again.
+
 The compiled extension in ``_kernels.pyx`` implements the same interface
 over fixed-width machine words; results are identical, only speed differs.
 """
@@ -16,16 +28,6 @@ from __future__ import annotations
 
 #: Largest vertex count this backend accepts (no real limit for Python ints).
 MAX_N = 1 << 20
-
-
-def _dominance_filter(masks: list[int]) -> list[int]:
-    """Drop requirements implied by a subset requirement (hit A => hit B when A <= B)."""
-    masks = sorted(set(masks), key=lambda m: m.bit_count())
-    kept: list[int] = []
-    for m in masks:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
 
 
 def _greedy_cover(n: int, masks: list[int]) -> int:
@@ -50,29 +52,33 @@ def solve_cover(n: int, masks: list[int]) -> tuple[int, int, int]:
     """Minimum hitting set of the requirement masks.
 
     Returns (optimum size, witness mask, explored node count).  Every mask
-    must be nonzero; feasibility screening is the caller's job.
+    must be nonzero; feasibility screening and dominance filtering are the
+    caller's job.  Requirements are scanned in the order given.
     """
     if any(m == 0 for m in masks):
         raise ValueError("infeasible: empty requirement")
-    reqs = _dominance_filter(masks)
-    seed = _greedy_cover(n, reqs)
+    seed = _greedy_cover(n, masks)
     best = [seed.bit_count(), seed]
     nodes = [0]
 
-    def rec(chosen: int, count: int, banned: int) -> None:
+    def rec(live: list[int], chosen: int, count: int, banned: int) -> None:
         nodes[0] += 1
-        # one pass: detect dead candidates, greedy-pack a lower bound, and
-        # remember the unsatisfied requirement with fewest candidates
+        # one pass over the requirements the parent left unhit: keep the
+        # candidates of those still unhit for the children, detect dead
+        # ones, greedy-pack a lower bound, and remember the narrowest one
+        free = ~banned
+        unhit = []
         lb = 0
         used = 0
         branch_req = 0
         branch_width = n + 1
-        for m in reqs:
+        for m in live:
             if m & chosen:
                 continue
-            cand = m & ~banned
+            cand = m & free
             if cand == 0:
                 return
+            unhit.append(cand)
             if not cand & used:
                 lb += 1
                 used |= cand
@@ -87,39 +93,43 @@ def solve_cover(n: int, masks: list[int]) -> tuple[int, int, int]:
             return
         if count + lb >= best[0]:
             return
-        local_banned = banned
         cand = branch_req
         while cand:
             low = cand & -cand
             cand ^= low
-            rec(chosen | low, count + 1, local_banned)
-            local_banned |= low
+            rec(unhit, chosen | low, count + 1, banned)
+            banned |= low
             if count + 1 >= best[0]:
                 break
 
-    rec(0, 0, 0)
+    rec(masks, 0, 0, 0)
     return best[0], best[1], nodes[0]
 
 
-def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: int) -> bool:
-    """Is there a hitting set S with forced <= S, S & banned == 0, |S| <= limit?"""
-    if forced & banned:
-        return False
-    reqs = _dominance_filter(masks)
+def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: int) -> int | None:
+    """A hitting set S with forced <= S, S & banned == 0 and |S| <= limit.
 
-    def rec(chosen: int, count: int, local_banned: int) -> bool:
+    Returns the mask of one such S, or None when there is none.
+    """
+    if forced & banned:
+        return None
+
+    def rec(live: list[int], chosen: int, count: int, banned: int) -> int | None:
         if count > limit:
-            return False
+            return None
+        free = ~banned
+        unhit = []
         lb = 0
         used = 0
         branch_req = 0
         branch_width = n + 1
-        for m in reqs:
+        for m in live:
             if m & chosen:
                 continue
-            cand = m & ~local_banned
+            cand = m & free
             if cand == 0:
-                return False
+                return None
+            unhit.append(cand)
             if not cand & used:
                 lb += 1
                 used |= cand
@@ -128,19 +138,20 @@ def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: in
                 branch_width = width
                 branch_req = cand
         if branch_req == 0:
-            return True
+            return chosen
         if count + lb > limit:
-            return False
+            return None
         cand = branch_req
         while cand:
             low = cand & -cand
             cand ^= low
-            if rec(chosen | low, count + 1, local_banned):
-                return True
-            local_banned |= low
-        return False
+            found = rec(unhit, chosen | low, count + 1, banned)
+            if found is not None:
+                return found
+            banned |= low
+        return None
 
-    return rec(forced, forced.bit_count(), banned)
+    return rec(masks, forced, forced.bit_count(), banned)
 
 
 def _conflicts(n: int, cov: list[int]) -> list[int]:
@@ -199,11 +210,15 @@ def solve_pack(n: int, cov: list[int]) -> tuple[int, int, int]:
 
 def pack_feasible(
     n: int, cov: list[int], forced: int, banned: int, target: int, size_cap: int | None = None
-) -> bool:
-    """Is there a conflict-free S >= forced avoiding banned with coverage >= target
-    (and, when given, |S| <= size_cap)?"""
+) -> int | None:
+    """A conflict-free S >= forced avoiding banned with coverage >= target
+    (and, when given, |S| <= size_cap).
+
+    Returns the mask of one such S, or None when there is none; the empty
+    set (mask 0) is a witness whenever target <= 0.
+    """
     if forced & banned:
-        return False
+        return None
     conf = _conflicts(n, cov)
     covered = 0
     avail = ((1 << n) - 1) & ~banned & ~forced if n else 0
@@ -213,16 +228,18 @@ def pack_feasible(
         fm ^= low
         b = low.bit_length() - 1
         if conf[b] & forced:
-            return False
+            return None
         covered |= cov[b]
         avail &= ~conf[b]
     cap = size_cap if size_cap is not None else n
+    if forced.bit_count() > cap:
+        return None
 
-    def rec(avail: int, covered: int, count: int) -> bool:
+    def rec(avail: int, covered: int, chosen: int, count: int) -> int | None:
         if covered.bit_count() >= target:
-            return True
+            return chosen
         if count >= cap:
-            return False
+            return None
         union = 0
         am = avail
         branch = -1
@@ -238,10 +255,11 @@ def pack_feasible(
                 branch_gain = g
                 branch = b
         if branch < 0 or covered.bit_count() + union.bit_count() < target:
-            return False
+            return None
         bit = 1 << branch
-        if rec(avail & ~bit & ~conf[branch], covered | cov[branch], count + 1):
-            return True
-        return rec(avail & ~bit, covered, count)
+        found = rec(avail & ~bit & ~conf[branch], covered | cov[branch], chosen | bit, count + 1)
+        if found is not None:
+            return found
+        return rec(avail & ~bit, covered, chosen, count)
 
-    return rec(avail, covered, forced.bit_count())
+    return rec(avail, covered, forced, forced.bit_count())

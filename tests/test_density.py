@@ -152,6 +152,30 @@ def test_sweep_falls_back_to_serial_with_warning(monkeypatch, caplog):
     assert any(rec.levelno == logging.WARNING and "serially" in rec.getMessage() for rec in caplog.records)
 
 
+def test_pool_is_imported_only_by_a_parallel_sweep():
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, tumbling\n"
+        "from tumbling.density import density_sweep\n"
+        "from tumbling.solvers import ParamKind\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "serial = density_sweep(ParamKind.GAMMA, 6, threads=1)\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "assert density_sweep(ParamKind.GAMMA, 6, threads=2) == serial\n"
+        "assert 'multiprocessing' in sys.modules\n"
+    )
+    import os
+    from pathlib import Path
+
+    import tumbling
+
+    src = str(Path(tumbling.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", probe], check=True, timeout=120, env=env)
+
+
 @pytest.mark.parametrize("kind", list(ParamKind), ids=lambda k: k.value)
 def test_orbit_sweep_matches_full_sweep(kind):
     """One solve per point-group orbit gives the same records as solving

@@ -199,9 +199,24 @@ def test_f_at_most_n_with_equality_iff_efficient():
 
 
 def test_solve_stats_populated(block):
+    from tumbling.solvers import SolveStats
+
     res = min_dominating(block)
     assert res.stats.nodes >= 1
     assert res.stats.elapsed >= 0
+    assert SolveStats(5, 0.1) == SolveStats(nodes=5, elapsed=0.1, proof_s=0.0, canon_s=0.0, canon_calls=0)
+    for kind in ParamKind:
+        res = solve(block, kind)
+        stats = res.stats
+        assert stats.proof_s >= 0 and stats.canon_s >= 0
+        assert stats.proof_s + stats.canon_s <= stats.elapsed
+        # at most one feasibility search per vertex outside the proof's
+        # witness, plus the packing size search
+        assert 0 <= stats.canon_calls <= block.n
+        fast = solve(block, kind, deterministic=False).stats
+        assert (fast.canon_s, fast.canon_calls) == (0.0, 0)
+    # the canonical pass of C8 domination makes kernel calls
+    assert solve(cycle(8), ParamKind.GAMMA).stats.canon_calls > 0
 
 
 # every kernel that imports: pure Python always, the compiled one when built
@@ -211,7 +226,7 @@ def kernel(request):
 
 
 # instances on either side of the 32- and 64-bit word boundaries
-WORD_BOUNDARY_GRAPHS = [pytest.param(cycle(n), id=f"C{n}") for n in (31, 32, 33, 63, 64, 65)] + [
+WORD_BOUNDARY_GRAPHS = [pytest.param(cycle(n), id=f"C{n}") for n in (31, 32, 33, 63, 64, 65, 130)] + [
     pytest.param(build_quotient(LatticeQuotient(4, 0, 4)), id="q(4,0,4)")
 ]
 
@@ -222,13 +237,13 @@ def test_kernel_word_boundary_consistency(kernel, g):
     for cov in (list(g.closed_masks()), list(g.open_masks())):
         best, _, _ = kernel.solve_pack(n, cov)
         assert best == _kernels_py.solve_pack(n, cov)[0]
-        assert kernel.pack_feasible(n, cov, 0, 0, best, n)
-        assert not kernel.pack_feasible(n, cov, 0, 0, best + 1, n)
+        assert kernel.pack_feasible(n, cov, 0, 0, best, n) is not None
+        assert kernel.pack_feasible(n, cov, 0, 0, best + 1, n) is None
     reqs = _cover_requirements(g, ParamKind.GAMMA)
     opt, _, _ = kernel.solve_cover(n, reqs)
     assert opt == _kernels_py.solve_cover(n, reqs)[0]
-    assert kernel.cover_feasible(n, reqs, 0, 0, opt)
-    assert not kernel.cover_feasible(n, reqs, 0, 0, opt - 1)
+    assert kernel.cover_feasible(n, reqs, 0, 0, opt) is not None
+    assert kernel.cover_feasible(n, reqs, 0, 0, opt - 1) is None
 
 
 def test_canonical_packing_fails_loudly_on_inconsistent_kernel(monkeypatch):
@@ -246,6 +261,105 @@ def test_canonical_packing_fails_loudly_on_inconsistent_kernel(monkeypatch):
         solve(cycle(6), ParamKind.F_MAX)
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [("banned", "includes a banned vertex"), ("missed", "misses a requirement")],
+)
+def test_canonical_cover_fails_loudly_on_inconsistent_kernel(monkeypatch, fault, message):
+    import types
+
+    import tumbling.solvers as solve_mod
+
+    def banned_too(n, reqs, forced, banned, limit):
+        found = _kernels_py.cover_feasible(n, reqs, forced, banned, limit)
+        return None if found is None else found | banned
+
+    def forced_only(n, reqs, forced, banned, limit):
+        return forced
+
+    stub = types.SimpleNamespace(
+        MAX_N=_kernels_py.MAX_N,
+        solve_cover=_kernels_py.solve_cover,
+        cover_feasible=banned_too if fault == "banned" else forced_only,
+    )
+    monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
+    # C8's canonical pass bans a vertex before a later call succeeds, so
+    # both faults are reached
+    with pytest.raises(RuntimeError, match=rf"gamma on n=8: .*{message}"):
+        solve(cycle(8), ParamKind.GAMMA)
+
+
+def test_pack_size_bound_never_exceeds_the_fewest_vertices():
+    from tumbling.solvers import _pack_size_bound
+
+    tight = 0
+    for name, g in oracle_corpus():
+        if g.n > 12:
+            continue
+        for kind, cov in ((ParamKind.F_MAX, g.closed_masks()), (ParamKind.F_OP_MAX, g.open_masks())):
+            ref = brute_force(g, kind)
+            bound = _pack_size_bound(list(cov), ref.value)
+            assert bound <= len(ref.witness), (name, kind)
+            tight += bound == len(ref.witness)
+    # the bound is reached (C6 and the block pair among others), so a bound
+    # one too high would skip the true size
+    assert tight >= 10
+
+
+def _meets_cover(s, reqs, forced, banned, limit):
+    return s & forced == forced and not s & banned and s.bit_count() <= limit and all(m & s for m in reqs)
+
+
+def _meets_pack(s, cov, forced, banned, target, cap):
+    if s & forced != forced or s & banned or s.bit_count() > cap:
+        return False
+    covered = 0
+    for v in range(len(cov)):
+        if s >> v & 1:
+            if cov[v] & covered:
+                return False
+            covered |= cov[v]
+    return covered.bit_count() >= target
+
+
+def test_feasibility_kernel_contract(kernel, k1):
+    """Feasibility kernels return a mask meeting every constraint of the
+    call exactly when plain enumeration finds such a set, else None."""
+    import random
+
+    # K1 under f-op: the empty packing reaches target 0, and its witness is
+    # the mask 0, not None
+    assert kernel.pack_feasible(1, list(k1.open_masks()), 0, 0, 0, 0) == 0
+    assert kernel.pack_feasible(1, list(k1.open_masks()), 0, 0, 1) is None
+    res = solve(k1, ParamKind.F_OP_MAX)
+    assert (res.value, res.witness) == (0, ())
+    rng = random.Random(20261018)
+    for trial in range(150):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice((0.2, 0.35, 0.5)), 1000 + trial)
+        subsets = range(1 << n)
+        for _ in range(4):
+            forced = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            banned = rng.getrandbits(n) & rng.getrandbits(n) & ~(forced if rng.random() < 0.9 else 0)
+            reqs = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+            limit = rng.randint(0, n)
+            found = kernel.cover_feasible(n, reqs, forced, banned, limit)
+            exists = any(_meets_cover(s, reqs, forced, banned, limit) for s in subsets)
+            assert (found is not None) == exists, (trial, reqs, forced, banned, limit)
+            if found is not None:
+                assert type(found) is int and _meets_cover(found, reqs, forced, banned, limit)
+
+            cov = list(g.closed_masks() if rng.random() < 0.5 else g.open_masks())
+            target = rng.randint(0, n)
+            cap = rng.choice((None, rng.randint(0, n)))
+            found = kernel.pack_feasible(n, cov, forced, banned, target, cap)
+            bound = n if cap is None else cap
+            exists = any(_meets_pack(s, cov, forced, banned, target, bound) for s in subsets)
+            assert (found is not None) == exists, (trial, cov, forced, banned, target, cap)
+            if found is not None:
+                assert type(found) is int and _meets_pack(found, cov, forced, banned, target, bound)
+
+
 def test_kernels_for_logs_fallback(monkeypatch, caplog):
     import logging
     import types
@@ -256,3 +370,28 @@ def test_kernels_for_logs_fallback(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="tumbling"):
         assert backend.kernels_for(9) is _kernels_py
     assert any(rec.levelno == logging.DEBUG and "n=9" in rec.getMessage() for rec in caplog.records)
+
+
+# --- canonical witnesses --------------------------------------------------
+
+def _load_fixture_generator():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent / "data" / "gen_canonical_witnesses.py"
+    spec = importlib.util.spec_from_file_location("gen_canonical_witnesses", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_canonical_witnesses_match_fixture():
+    """Every canonical witness is the one stored in tests/data, byte for byte."""
+    import json
+
+    gen = _load_fixture_generator()
+    stored = json.loads(gen.FIXTURE.read_text())
+    assert [(e["graph"], e["kind"]) for e in stored] == [(name, kind.value) for name, kind in gen.cases()]
+    for entry in stored:
+        got = gen.solve_case(entry["graph"], ParamKind(entry["kind"]))
+        assert got == entry, entry["graph"]
