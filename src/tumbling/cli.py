@@ -23,9 +23,11 @@ from .formats import (
     GraphDocument,
     ParseError,
     document_from_graph,
+    document_from_payload,
     graph_from_document,
     load_document,
     serialize,
+    to_payload,
 )
 from .graph import FiniteGraph, NotBipartiteError
 from .hamilton import (
@@ -42,6 +44,8 @@ from .solvers import (
     InfeasibleError,
     ParamKind,
     brute_force,
+    is_dominating,
+    is_open_dominating,
     solve,
     verify_witness,
 )
@@ -126,15 +130,6 @@ def _write_output(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _doc_payload(doc: GraphDocument) -> dict:
-    return {
-        "format": "tumbling-graph/1",
-        "source": doc.source,
-        "vertices": list(doc.vertices),
-        "edges": [list(e) for e in sorted(doc.edges)],
-    }
-
-
 def _emit(payload: dict, path: str) -> None:
     """Write a record for ``tb verify``, stamped with the kernel backend and
     package version that produced it (``tb verify`` ignores both)."""
@@ -181,7 +176,7 @@ def cmd_solve(args) -> int:
             {
                 "type": "solve",
                 "param": kind.value,
-                "graph": _doc_payload(doc),
+                "graph": to_payload(doc),
                 "value": result.value,
                 "witness": list(result.witness),
             },
@@ -220,20 +215,16 @@ def _density_payload(record: DensityRecord) -> dict:
 
 def cmd_shares(args) -> int:
     g, _doc = _resolve_graph(args)
-    S = _parse_vertex_set(g, args.set)
-    g.check_vertex_set(S)
+    S = g.check_vertex_set(_parse_vertex_set(g, args.set))
     # report the first uncovered vertex rather than a bare failure
-    sset = frozenset(S)
-    for v in range(g.n):
-        hits = sum(1 for x in g.adj[v] if x in sset)
-        if not args.open and v in sset:
-            hits += 1
-        if hits == 0:
-            name = g.labels[v] if g.labels else v
-            raise InfeasibleError(
-                f"set is not {'open-' if args.open else ''}dominating: "
-                f"vertex {name} is uncovered"
-            )
+    dominates = is_open_dominating if args.open else is_dominating
+    uncovered = next((v for v in range(g.n) if not dominates(g, S, on=(v,))), None)
+    if uncovered is not None:
+        name = g.labels[uncovered] if g.labels else uncovered
+        raise InfeasibleError(
+            f"set is not {'open-' if args.open else ''}dominating: "
+            f"vertex {name} is uncovered"
+        )
     report = share_report(g, S, open_variant=args.open)
     for v, sh in report.shares.items():
         name = g.labels[v] if g.labels else v
@@ -250,6 +241,8 @@ def cmd_verify(args) -> int:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON record: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"a record is a JSON object, not {type(payload).__name__}")
     rtype = payload.get("type")
     if rtype == "solve":
         ok = _verify_solve_record(payload)
@@ -263,53 +256,59 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _graph_from_payload(payload: dict) -> FiniteGraph:
-    from .formats import parse_document
+def _field(payload: dict, key: str, kind: type = int):
+    """``payload[key]``, which must be exactly of type ``kind`` (a bool is no int)."""
+    value = payload[key]
+    if type(value) is not kind:
+        raise ParseError(f"record field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
-    return graph_from_document(parse_document(json.dumps(payload)))
+
+def _int_list(payload: dict, key: str) -> list[int]:
+    values = payload[key]
+    if type(values) is not list or any(type(x) is not int for x in values):
+        raise ParseError(f"record field {key!r} must be a list of integers, got {values!r}")
+    return values
 
 
 def _verify_solve_record(payload: dict) -> bool:
-    g = _graph_from_payload(payload["graph"])
+    g = graph_from_document(document_from_payload(payload["graph"]))
     kind = ParamKind(payload["param"])
-    return verify_witness(g, kind, payload["witness"], payload["value"])
+    return verify_witness(g, kind, _int_list(payload, "witness"), _field(payload, "value"))
 
 
 def _verify_density_record(payload: dict) -> bool:
-    a, c, d = payload["quotient"]
+    a, c, d = _int_list(payload, "quotient")
     q = LatticeQuotient(a, c, d)
     kind = ParamKind(payload["param"])
-    radius = payload["validated_radius"]
-    if radius < required_radius(kind) or not validate_quotient(q, radius):
+    # every producer records exactly the kind's radius; a larger one would
+    # only make validation slower (its offset table grows with the radius)
+    radius = _field(payload, "validated_radius")
+    if radius != required_radius(kind) or not validate_quotient(q, radius):
         return False
-    g = build_quotient(q)
-    witness = tuple(payload["witness"])
-    density = Fraction(payload["density"])
     record = DensityRecord(
         kind=kind,
         quotient=q,
-        size=payload["size"],
-        density=density,
-        witness=witness,
+        size=_field(payload, "size"),
+        density=Fraction(_field(payload, "density", str)),
+        witness=tuple(_int_list(payload, "witness")),
         validated_radius=radius,
         exact_cover=payload.get("exact_cover", False),
     )
-    if record.exact_cover:
-        if not verify_witness(g, kind, witness, g.n):
-            return False
-        if len(witness) != record.size or density != Fraction(record.size, 3 * q.det):
-            return False
-    else:
-        if not verify_witness(g, kind, witness, record.size):
-            return False
-        if density != Fraction(record.size, 3 * q.det):
-            return False
-    side = max(12, 2 * radius + 2)
-    return lift_check(record, side, side)
+    g = build_quotient(q)
+    # an exact cover's size is its pattern size, and it covers all n vertices
+    value = g.n if record.exact_cover else record.size
+    if not verify_witness(g, kind, record.witness, value):
+        return False
+    if record.exact_cover and len(record.witness) != record.size:
+        return False
+    if record.density != Fraction(record.size, 3 * q.det):
+        return False
+    return lift_check(record, 12, 12)
 
 
 def _verify_cut_record(payload: dict) -> bool:
-    g = _graph_from_payload(payload["graph"])
+    g = graph_from_document(document_from_payload(payload["graph"]))
     cert = verify_cut(g, payload["removed"])
     return (
         cert.components_after == payload["components_after"]
@@ -347,7 +346,7 @@ def cmd_hamilton(args) -> int:
         _emit(
             {
                 "type": "cut",
-                "graph": _doc_payload(doc),
+                "graph": to_payload(doc),
                 "removed": list(cert.removed),
                 "components_after": cert.components_after,
                 "isolated_after": cert.isolated_after,

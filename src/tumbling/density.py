@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import FamilyKind, FamilySpec, VertexAddr, family_blocks, block_members, tb_neighbors
+from .lattice import FamilyKind, FamilySpec, VertexAddr, build_family
 from .quotient import (
     LatticeQuotient,
     LatticeSymmetry,
@@ -32,7 +32,7 @@ from .quotient import (
     tb_ball,
     validate_quotient,
 )
-from .solvers import ParamKind, SolveStats, solve, verify_witness
+from .solvers import _PREDICATES, ParamKind, SolveStats, _packing_value, solve, verify_witness
 
 _log = logging.getLogger("tumbling")
 
@@ -264,8 +264,10 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
 # ---------------------------------------------------------------------------
 
 def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
-    """Tile the pattern over a parallelogram window and re-check every local
-    condition at vertices whose full validation ball lies inside the window."""
+    """Tile the pattern over a parallelogram window and run the kind's
+    definitional predicate on the window's interior: the vertices whose full
+    validation ball lies inside the window, where the window graph's
+    adjacency is the lattice's."""
     radius = record.validated_radius
     if min(window_r, window_s) < 2 * radius + 2:
         raise ValueError(f"window must be at least {2 * radius + 2} on each side")
@@ -273,60 +275,14 @@ def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     gq = build_quotient(q)
     pattern = {gq.labels[v] for v in record.witness}
 
-    window: set[VertexAddr] = set()
-    for (i, j) in family_blocks(FamilySpec(FamilyKind.TBP, window_r, window_s)):
-        window.update(block_members(i, j))
-    lifted = {x for x in window if q.reduce_addr(x) in pattern}
-
-    interior = [x for x in sorted(window) if all(y in window for y in tb_ball(x, radius))]
-    interior_set = set(interior)
-
-    def open_code(x: VertexAddr) -> frozenset:
-        return frozenset(y for y in tb_neighbors(x) if y in lifted)
-
-    def closed_code(x: VertexAddr) -> frozenset:
-        code = open_code(x)
-        return code | {x} if x in lifted else code
-
+    window = build_family(FamilySpec(FamilyKind.TBP, window_r, window_s))
+    lifted = frozenset(k for k, x in enumerate(window.labels) if q.reduce_addr(x) in pattern)
+    interior = [
+        k for k, x in enumerate(window.labels) if all(window.has_label(y) for y in tb_ball(x, radius))
+    ]
     kind = record.kind
-    for x in interior:
-        if kind == ParamKind.GAMMA:
-            if x not in lifted and not open_code(x):
-                return False
-        elif kind == ParamKind.GAMMA_OP:
-            if not open_code(x):
-                return False
-        elif kind == ParamKind.F_MAX:
-            hits = len(open_code(x)) + (1 if x in lifted else 0)
-            if hits > 1:
-                return False
-        elif kind == ParamKind.F_OP_MAX:
-            hits = len(open_code(x))
-            if hits > 1 or (record.exact_cover and hits != 1):
-                return False
-        elif kind == ParamKind.LD:
-            if x not in lifted and not open_code(x):
-                return False
-        elif kind == ParamKind.IC:
-            if not closed_code(x):
-                return False
-        elif kind == ParamKind.OLD:
-            if not open_code(x):
-                return False
-    if kind in (ParamKind.LD, ParamKind.IC, ParamKind.OLD):
-        for x in interior:
-            for y in tb_ball(x, 2):
-                if y <= x or y not in interior_set:
-                    continue
-                if kind == ParamKind.LD:
-                    if x in lifted or y in lifted:
-                        continue
-                    if open_code(x) == open_code(y):
-                        return False
-                elif kind == ParamKind.IC:
-                    if closed_code(x) == closed_code(y):
-                        return False
-                else:
-                    if open_code(x) == open_code(y):
-                        return False
-    return True
+    if kind.minimizes:
+        return _PREDICATES[kind](window, lifted, on=interior)
+    covered = _packing_value(window, lifted, closed=(kind == ParamKind.F_MAX), on=interior)
+    # an exact cover hits every interior vertex exactly once
+    return covered is not None and (not record.exact_cover or covered == len(interior))

@@ -91,14 +91,18 @@ def to_dimacs(doc: GraphDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_json(doc: GraphDocument) -> str:
-    payload = {
+def to_payload(doc: GraphDocument) -> dict:
+    """The JSON object of a document, as ``to_json`` writes it."""
+    return {
         "format": FORMAT_VERSION,
         "source": doc.source,
         "vertices": list(doc.vertices),
         "edges": [list(e) for e in sorted(doc.edges)],
     }
-    return json.dumps(payload, indent=1) + "\n"
+
+
+def to_json(doc: GraphDocument) -> str:
+    return json.dumps(to_payload(doc), indent=1) + "\n"
 
 
 SERIALIZERS = {"edges": to_edge_list, "json": to_json, "dimacs": to_dimacs}
@@ -136,18 +140,7 @@ def parse_document(text: str) -> GraphDocument:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
-        if payload.get("format") != FORMAT_VERSION:
-            raise ParseError(f"unsupported document format {payload.get('format')!r}")
-        vertices = []
-        for vr in payload["vertices"]:
-            if "cls" in vr:
-                vertices.append(
-                    {"id": int(vr["id"]), "cls": vr["cls"], "i": int(vr["i"]), "j": int(vr["j"])}
-                )
-            else:
-                vertices.append({"id": int(vr["id"])})
-        edges = tuple(sorted((int(a), int(b)) for a, b in payload["edges"]))
-        return GraphDocument(source=payload.get("source"), vertices=tuple(vertices), edges=edges)
+        return document_from_payload(payload)
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
     if not lines or not lines[0].startswith("p"):
         raise ParseError("expected 'p' header line")
@@ -175,6 +168,24 @@ def parse_document(text: str) -> GraphDocument:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
     vertices = tuple({"id": k} for k in range(n))
     return GraphDocument(source=None, vertices=vertices, edges=tuple(sorted(edges)))
+
+
+def document_from_payload(payload) -> GraphDocument:
+    """The document of a JSON object written by :func:`to_payload`."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
+    if payload.get("format") != FORMAT_VERSION:
+        raise ParseError(f"unsupported document format {payload.get('format')!r}")
+    vertices = []
+    for vr in payload["vertices"]:
+        if "cls" in vr:
+            vertices.append(
+                {"id": int(vr["id"]), "cls": vr["cls"], "i": int(vr["i"]), "j": int(vr["j"])}
+            )
+        else:
+            vertices.append({"id": int(vr["id"])})
+    edges = tuple(sorted((int(a), int(b)) for a, b in payload["edges"]))
+    return GraphDocument(source=payload.get("source"), vertices=tuple(vertices), edges=edges)
 
 
 def load_document(path: str) -> GraphDocument:

@@ -77,18 +77,28 @@ class SolveResult:
 
 # ---------------------------------------------------------------------------
 # feasibility predicates (direct definitional checks)
+#
+# With ``on``, a predicate checks only those vertices, and compares codes only
+# among them: ``lift_check`` passes the interior of a lattice window.
 # ---------------------------------------------------------------------------
 
-def is_dominating(g: FiniteGraph, S: Iterable[int]) -> bool:
-    """Every vertex has a member of S in its closed neighborhood."""
-    S = g.check_vertex_set(S)
-    return all(v in S or any(u in S for u in g.adj[v]) for v in range(g.n))
+def _checked(g: FiniteGraph, on: Optional[Iterable[int]]) -> Iterable[int]:
+    """The vertices a predicate checks: all of g, or the distinct vertices ``on``."""
+    return range(g.n) if on is None else on
 
 
-def is_open_dominating(g: FiniteGraph, S: Iterable[int]) -> bool:
-    """Every vertex (members of S included) has a neighbor in S."""
+def is_dominating(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = None) -> bool:
+    """Every vertex (of ``on``, when given) has a member of S in its closed
+    neighborhood."""
     S = g.check_vertex_set(S)
-    return all(any(u in S for u in g.adj[v]) for v in range(g.n))
+    return all(v in S or any(u in S for u in g.adj[v]) for v in _checked(g, on))
+
+
+def is_open_dominating(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = None) -> bool:
+    """Every vertex (of ``on``, when given; members of S included) has a
+    neighbor in S."""
+    S = g.check_vertex_set(S)
+    return all(any(u in S for u in g.adj[v]) for v in _checked(g, on))
 
 
 def _open_code(g: FiniteGraph, S: frozenset, v: int) -> frozenset:
@@ -100,48 +110,44 @@ def _closed_code(g: FiniteGraph, S: frozenset, v: int) -> frozenset:
     return code | {v} if v in S else code
 
 
-def is_ld_set(g: FiniteGraph, S: Iterable[int]) -> bool:
-    """Non-members receive distinct nonempty codes N(v) & S."""
-    S = g.check_vertex_set(S)
-    codes = {}
-    for v in range(g.n):
-        if v in S:
-            continue
-        code = _open_code(g, S, v)
-        if not code or code in codes:
+def _distinct_codes(codes: Iterable[frozenset]) -> bool:
+    """Every code is nonempty and no two are equal."""
+    seen = set()
+    for code in codes:
+        if not code or code in seen:
             return False
-        codes[code] = v
+        seen.add(code)
     return True
 
 
-def is_ic_set(g: FiniteGraph, S: Iterable[int]) -> bool:
-    """All vertices receive distinct nonempty codes N[v] & S."""
+def is_ld_set(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = None) -> bool:
+    """Non-members (of ``on``, when given) receive distinct nonempty codes
+    N(v) & S."""
     S = g.check_vertex_set(S)
-    codes = set()
-    for v in range(g.n):
-        code = _closed_code(g, S, v)
-        if not code or code in codes:
-            return False
-        codes.add(code)
-    return True
+    return _distinct_codes(_open_code(g, S, v) for v in _checked(g, on) if v not in S)
 
 
-def is_old_set(g: FiniteGraph, S: Iterable[int]) -> bool:
-    """All vertices receive distinct nonempty codes N(v) & S."""
+def is_ic_set(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = None) -> bool:
+    """All vertices (of ``on``, when given) receive distinct nonempty codes
+    N[v] & S."""
     S = g.check_vertex_set(S)
-    codes = set()
-    for v in range(g.n):
-        code = _open_code(g, S, v)
-        if not code or code in codes:
-            return False
-        codes.add(code)
-    return True
+    return _distinct_codes(_closed_code(g, S, v) for v in _checked(g, on))
 
 
-def _packing_value(g: FiniteGraph, S: frozenset, closed: bool) -> Optional[int]:
-    """Covered-vertex count if S dominates each vertex at most once, else None."""
+def is_old_set(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = None) -> bool:
+    """All vertices (of ``on``, when given) receive distinct nonempty codes
+    N(v) & S."""
+    S = g.check_vertex_set(S)
+    return _distinct_codes(_open_code(g, S, v) for v in _checked(g, on))
+
+
+def _packing_value(
+    g: FiniteGraph, S: frozenset, closed: bool, on: Optional[Iterable[int]] = None
+) -> Optional[int]:
+    """Covered-vertex count if S dominates each vertex (of ``on``, when given)
+    at most once, else None."""
     covered = 0
-    for v in range(g.n):
+    for v in _checked(g, on):
         hits = sum(1 for u in g.adj[v] if u in S)
         if closed and v in S:
             hits += 1
@@ -151,30 +157,26 @@ def _packing_value(g: FiniteGraph, S: frozenset, closed: bool) -> Optional[int]:
     return covered
 
 
-def closed_twins(g: FiniteGraph) -> list[tuple[int, int]]:
-    """Pairs with identical closed neighborhoods (obstructions to IC)."""
-    masks = g.closed_masks()
+def _twins(masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Pairs of vertices with identical masks."""
     by_mask: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_mask.setdefault(masks[v], []).append(v)
+    for v, mask in enumerate(masks):
+        by_mask.setdefault(mask, []).append(v)
     return sorted(
         (a, b)
         for group in by_mask.values()
         for a, b in combinations(group, 2)
     )
+
+
+def closed_twins(g: FiniteGraph) -> list[tuple[int, int]]:
+    """Pairs with identical closed neighborhoods (obstructions to IC)."""
+    return _twins(g.closed_masks())
 
 
 def open_twins(g: FiniteGraph) -> list[tuple[int, int]]:
     """Pairs with identical open neighborhoods (obstructions to OLD)."""
-    masks = g.open_masks()
-    by_mask: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_mask.setdefault(masks[v], []).append(v)
-    return sorted(
-        (a, b)
-        for group in by_mask.values()
-        for a, b in combinations(group, 2)
-    )
+    return _twins(g.open_masks())
 
 
 # ---------------------------------------------------------------------------

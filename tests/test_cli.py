@@ -162,6 +162,82 @@ def test_density_emit_verify(capsys, tmp_path):
     assert "OK" in out
 
 
+def _verify_payload(capsys, tmp_path, payload):
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps(payload))
+    return run(capsys, "verify", "--input", str(rec))
+
+
+def test_density_exact_cover_round_trip(capsys, tmp_path):
+    from tumbling.cli import _density_payload
+    from tumbling.density import perfect_open_pattern
+
+    payload = _density_payload(perfect_open_pattern(9))
+    assert payload["exact_cover"] and payload["size"] == len(payload["witness"])
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    assert (code, out) == (0, "OK\n")
+    code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "witness": payload["witness"][1:]})
+    assert (code, out) == (1, "FAIL\n")
+
+
+def test_verify_rejects_a_radius_other_than_the_kinds_quickly(capsys, tmp_path):
+    import time
+
+    payload = {"type": "density", "param": "gamma", "quotient": [1, 0, 1000], "size": 1,
+               "density": "1/3000", "witness": [0], "validated_radius": 2999, "exact_cover": False}
+    start = time.perf_counter()
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "FAIL\n")
+
+
+def test_verify_rejects_a_larger_radius_on_a_good_record(capsys, tmp_path):
+    from tumbling.cli import _density_payload
+    from tumbling.density import min_density
+    from tumbling.quotient import LatticeQuotient, validate_quotient
+    from tumbling.solvers import ParamKind
+
+    q = LatticeQuotient(3, 0, 3)
+    assert validate_quotient(q, 2)
+    payload = _density_payload(min_density(ParamKind.GAMMA, q))
+    assert _verify_payload(capsys, tmp_path, payload)[0] == 0
+    code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "validated_radius": 2})
+    assert (code, out) == (1, "FAIL\n")
+
+
+@pytest.mark.parametrize("field, bad", [("value", "2"), ("value", True), ("witness", ["0", 1])])
+def test_verify_malformed_solve_record_exit_2(capsys, tmp_path, field, bad):
+    rec = tmp_path / "rec.json"
+    assert run(capsys, "solve", "--family", "tbt", "--rows", "1", "--param", "gamma",
+               "--emit", str(rec))[0] == 0
+    payload = {**json.loads(rec.read_text()), field: bad}
+    code, _, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 2
+    assert f"record field {field!r}" in err
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("quotient", ["2", 0, 5]),
+    ("size", 6.0),
+    ("validated_radius", True),
+    ("witness", [0, None]),
+    ("density", 0.2),
+])
+def test_verify_malformed_density_record_exit_2(capsys, tmp_path, field, bad):
+    payload = {"type": "density", "param": "gamma", "quotient": [2, 0, 5], "size": 6,
+               "density": "1/5", "witness": [0, 1, 2, 3, 4, 5], "validated_radius": 1,
+               "exact_cover": False, field: bad}
+    code, _, err = _verify_payload(capsys, tmp_path, payload)
+    assert code == 2
+    assert f"record field {field!r}" in err
+
+
+def test_verify_non_object_record_exit_2(capsys, tmp_path):
+    code, _, err = _verify_payload(capsys, tmp_path, [1, 2, 3])
+    assert code == 2
+    assert "JSON object" in err
+
+
 def test_shares_block_pair(capsys):
     code, out, _ = run(capsys, "shares", "--family", "tbt", "--rows", "1",
                        "--set", "w:1:1,u:2:1")

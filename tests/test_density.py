@@ -22,7 +22,7 @@ from tumbling.density import (
     valid_quotients,
 )
 from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits
-from tumbling.solvers import ParamKind, verify_witness
+from tumbling.solvers import _PREDICATES, InfeasibleError, ParamKind, _packing_value, verify_witness
 
 
 def test_required_radius():
@@ -121,6 +121,29 @@ def test_lift_check_window_too_small():
     rec = min_density(ParamKind.GAMMA, LatticeQuotient(2, 0, 5))
     with pytest.raises(ValueError):
         lift_check(rec, 3, 12)
+
+
+def test_lift_check_matches_quotient_verdict():
+    """On a quotient validated at the kind's radius, a pattern lifts exactly
+    when it meets the definition on the quotient graph: checked on every
+    optimal witness with det <= 6 and on every one-vertex toggle of it."""
+    cases = 0
+    for kind in ParamKind:
+        for q in valid_quotients(6, required_radius(kind)):
+            try:
+                rec = min_density(kind, q)
+            except InfeasibleError:
+                continue
+            g = build_quotient(q)
+            for toggle in [None, *range(g.n)]:
+                witness = tuple(sorted(set(rec.witness) ^ ({toggle} - {None})))
+                if kind.minimizes:
+                    expected = _PREDICATES[kind](g, witness)
+                else:
+                    expected = _packing_value(g, frozenset(witness), closed=(kind == ParamKind.F_MAX)) is not None
+                assert lift_check(replace(rec, witness=witness), 12, 12) == expected, (kind, q, toggle)
+                cases += 1
+    assert cases == 34 + 528  # optimal witnesses + one-vertex toggles
 
 
 def test_share_total_over_fundamental_domain():

@@ -126,3 +126,59 @@ def test_ld_counting_bound(block, p4):
     for g in (block, p4):
         res = min_ld(g)
         assert g.n - res.value <= 2 ** res.value - 1
+
+
+# --- predicates restricted to a vertex subset ---------------------------------
+
+def _restricted_by_definition(g, kind, S, on):
+    """Each predicate's condition on the vertices ``on`` only, written out."""
+    S = frozenset(S)
+
+    def code(x, closed):
+        return frozenset(y for y in g.adj[x] if y in S) | ({x} & S if closed else frozenset())
+
+    if kind == ParamKind.GAMMA:
+        return all(code(x, True) for x in on)
+    if kind == ParamKind.GAMMA_OP:
+        return all(code(x, False) for x in on)
+    if kind == ParamKind.F_MAX:
+        return all(len(code(x, True)) <= 1 for x in on)
+    if kind == ParamKind.F_OP_MAX:
+        return all(len(code(x, False)) <= 1 for x in on)
+    checked = [x for x in on if not (kind == ParamKind.LD and x in S)]
+    codes = [code(x, kind == ParamKind.IC) for x in checked]
+    return all(codes) and len(set(codes)) == len(codes)
+
+
+def test_predicates_check_only_the_given_vertices():
+    import random
+
+    from conftest import random_graph
+
+    from tumbling.solvers import _PREDICATES, _packing_value
+
+    rng = random.Random(5)
+    for seed in range(60):
+        g = random_graph(rng.randint(2, 9), 0.4, seed)
+        for kind in ParamKind:
+            S = {x for x in range(g.n) if rng.random() < 0.4}
+            on = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+            if kind.minimizes:
+                got, whole = _PREDICATES[kind](g, S, on=on), _PREDICATES[kind](g, S)
+            else:
+                closed = kind == ParamKind.F_MAX
+                got = _packing_value(g, frozenset(S), closed, on=on) is not None
+                whole = _packing_value(g, frozenset(S), closed) is not None
+            assert got == _restricted_by_definition(g, kind, S, on), (seed, kind, S, on)
+            assert whole == _restricted_by_definition(g, kind, S, range(g.n)), (seed, kind, S)
+
+
+def test_codes_compared_only_within_the_given_vertices(p4):
+    # in the path 0-1-2-3 with S = {1}, vertices 0 and 2 share the code {1}
+    assert not is_ld_set(p4, {1}, on=(0, 2))
+    assert is_ld_set(p4, {1}, on=(0,))
+    assert is_ld_set(p4, {1}, on=(1, 2))   # members of S are not compared for LD
+    assert not is_old_set(p4, {1}, on=(0, 2))
+    assert is_old_set(p4, {1, 2}, on=(0, 3))
+    assert not is_ic_set(p4, {1}, on=(0, 2))
+    assert is_ic_set(p4, {1, 2}, on=(0, 3))

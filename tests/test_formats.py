@@ -1,5 +1,7 @@
 """Graph document serialization and parsing round trips."""
 
+import json
+
 import pytest
 
 from conftest import cycle
@@ -8,9 +10,11 @@ from tumbling.formats import (
     GraphDocument,
     ParseError,
     document_from_graph,
+    document_from_payload,
     graph_from_document,
     parse_document,
     serialize,
+    to_payload,
 )
 from tumbling.lattice import FamilyKind, FamilySpec, build_family
 from tumbling.quotient import LatticeQuotient, build_quotient
@@ -85,6 +89,17 @@ def test_parse_errors():
         parse_document('{"format": "something-else"}')
     with pytest.raises(ParseError):
         parse_document("{not json")
+
+
+def test_payload_round_trip():
+    for doc in _docs():
+        payload = to_payload(doc)
+        assert json.dumps(payload, indent=1) + "\n" == serialize(doc, "json")
+        assert document_from_payload(payload) == doc
+    with pytest.raises(ParseError):
+        document_from_payload([to_payload(_docs()[0])])
+    with pytest.raises(ParseError):
+        document_from_payload({"format": "something-else"})
 
 
 def test_unknown_serialize_format():
