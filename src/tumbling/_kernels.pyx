@@ -3,8 +3,9 @@
 
 Same interface and results as ``_kernels_py``; this backend exists purely
 for speed on the hot subset-search loops.  As there, the feasibility kernels
-return a witness mask (0 is a valid one) or None, and the cover kernels take
-the requirement list already dominance-filtered, in scan order.
+return a witness mask (0 is a valid one) or None, the cover kernels take
+the requirement list already dominance-filtered, in scan order, and the
+optimizing kernels take the same ``roots`` of (forced, banned) start nodes.
 """
 
 from libc.stdlib cimport malloc, free
@@ -111,8 +112,9 @@ cdef void _cover_rec(CoverCtx *ctx, u64 *chosen, int count, u64 *banned):
                 return
 
 
-def solve_cover(int n, masks):
-    """Minimum hitting set; returns (size, witness mask, node count)."""
+def solve_cover(int n, masks, roots=((0, 0),)):
+    """Minimum hitting set among the sets that meet some (forced, banned)
+    root; returns (size, witness mask, node count summed over the roots)."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
     filtered = list(masks)
@@ -125,19 +127,28 @@ def solve_cover(int n, masks):
     if ctx.reqs == NULL:
         raise MemoryError()
     cdef u64 chosen[MAXW]
-    cdef u64 banned[MAXW]
+    cdef u64 banned_w[MAXW]
     cdef int r
     try:
         for r, mask in enumerate(filtered):
             if mask == 0:
                 raise ValueError("infeasible: empty requirement")
             _to_words(mask, ctx.reqs + r * ctx.nw, ctx.nw)
-        seed = _greedy_cover_py(filtered)
-        ctx.best = bin(seed).count("1")
-        _to_words(seed, ctx.best_wit, ctx.nw)
-        memset(chosen, 0, ctx.nw * sizeof(u64))
-        memset(banned, 0, ctx.nw * sizeof(u64))
-        _cover_rec(&ctx, chosen, 0, banned)
+        # the incumbent starts as the best greedy completion of any root
+        ctx.best = n + 1
+        for forced, banned in roots:
+            seed = _greedy_cover_py(filtered, forced, banned)
+            if seed is not None and bin(seed).count("1") < ctx.best:
+                ctx.best = bin(seed).count("1")
+                _to_words(seed, ctx.best_wit, ctx.nw)
+        for forced, banned in roots:
+            if forced & banned:
+                continue
+            _to_words(forced, chosen, ctx.nw)
+            _to_words(banned, banned_w, ctx.nw)
+            _cover_rec(&ctx, chosen, bin(forced).count("1"), banned_w)
+        if ctx.best > n:
+            raise ValueError("infeasible: no root admits a hitting set")
         return ctx.best, _from_words(ctx.best_wit, ctx.nw), ctx.nodes
     finally:
         free(ctx.reqs)
@@ -355,8 +366,39 @@ cdef void _pack_teardown(PackCtx *ctx):
     free(ctx)
 
 
-def solve_pack(int n, cov_masks):
-    """Maximum disjoint coverage; returns (covered count, witness mask, node count)."""
+cdef int _pack_start(PackCtx *ctx, object forced, object banned,
+                     u64 *avail, u64 *covered, u64 *chosen) except -2:
+    """Take the forced vertices: fill avail, covered and chosen, and return
+    the covered count, or -1 when the forced vertices overlap the banned
+    ones or conflict with each other."""
+    cdef u64 forced_w[MAXW]
+    cdef int w, b, weight
+    if forced & banned:
+        return -1
+    _to_words(forced, forced_w, ctx.nw)
+    memcpy(chosen, forced_w, ctx.nw * sizeof(u64))
+    memset(covered, 0, ctx.nw * sizeof(u64))
+    _to_words(((1 << ctx.n) - 1) & ~banned & ~forced, avail, ctx.nw)
+    fm = forced
+    while fm:
+        b = (fm & -fm).bit_length() - 1
+        fm &= fm - 1
+        for w in range(ctx.nw):
+            if ctx.conf[b * ctx.nw + w] & forced_w[w]:
+                return -1
+        for w in range(ctx.nw):
+            covered[w] |= ctx.cov[b * ctx.nw + w]
+            avail[w] &= ~ctx.conf[b * ctx.nw + w]
+    weight = 0
+    for w in range(ctx.nw):
+        weight += popc64(covered[w])
+    return weight
+
+
+def solve_pack(int n, cov_masks, roots=((0, 0),)):
+    """Maximum disjoint coverage among the sets that meet some (forced,
+    banned) root; returns (covered count, witness mask, node count summed
+    over the roots)."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
     if len(cov_masks) != n:
@@ -365,17 +407,17 @@ def solve_pack(int n, cov_masks):
     cdef u64 avail[MAXW]
     cdef u64 covered[MAXW]
     cdef u64 chosen[MAXW]
-    cdef int w
+    cdef int weight
     try:
         ctx.target = -1
         ctx.size_cap = n
-        memset(covered, 0, ctx.nw * sizeof(u64))
-        memset(chosen, 0, ctx.nw * sizeof(u64))
-        for w in range(ctx.nw):
-            avail[w] = 0
-        for w in range(n):
-            avail[w >> 6] |= (<u64>1) << (w & 63)
-        _pack_rec(ctx, avail, covered, chosen, 0, 0)
+        ctx.best = -1
+        for forced, banned in roots:
+            weight = _pack_start(ctx, forced, banned, avail, covered, chosen)
+            if weight >= 0:
+                _pack_rec(ctx, avail, covered, chosen, weight, bin(forced).count("1"))
+        if ctx.best < 0:
+            raise ValueError("infeasible: no root admits a packing")
         return ctx.best, _from_words(ctx.best_wit, ctx.nw), ctx.nodes
     finally:
         _pack_teardown(ctx)
@@ -386,44 +428,19 @@ def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
     (and |S| <= size_cap), as a mask, or None when there is none."""
     if n > MAX_N:
         raise ValueError(f"compiled backend caps n at {MAX_N}")
-    if forced & banned:
-        return None
     if size_cap is not None and bin(forced).count("1") > size_cap:
         return None
     cdef PackCtx *ctx = _pack_setup(n, cov_masks)
     cdef u64 avail[MAXW]
     cdef u64 covered[MAXW]
     cdef u64 chosen[MAXW]
-    cdef u64 forced_w[MAXW]
-    cdef int w, b
     cdef int weight
     try:
         ctx.target = target
         ctx.size_cap = size_cap if size_cap is not None else n
-        memset(covered, 0, ctx.nw * sizeof(u64))
-        _to_words(forced, forced_w, ctx.nw)
-        memcpy(chosen, forced_w, ctx.nw * sizeof(u64))
-        for w in range(ctx.nw):
-            avail[w] = 0
-        free_mask = ((1 << n) - 1) & ~banned & ~forced if n else 0
-        for b in range(n):
-            if (free_mask >> b) & 1:
-                avail[b >> 6] |= (<u64>1) << (b & 63)
-        # seed with forced vertices: reject internal conflicts, exclude
-        # conflicting vertices from the available pool
-        fm = forced
-        while fm:
-            b = (fm & -fm).bit_length() - 1
-            fm &= fm - 1
-            for w in range(ctx.nw):
-                if ctx.conf[b * ctx.nw + w] & forced_w[w]:
-                    return None
-            for w in range(ctx.nw):
-                covered[w] |= ctx.cov[b * ctx.nw + w]
-                avail[w] &= ~ctx.conf[b * ctx.nw + w]
-        weight = 0
-        for w in range(ctx.nw):
-            weight += popc64(covered[w])
+        weight = _pack_start(ctx, forced, banned, avail, covered, chosen)
+        if weight < 0:
+            return None
         if _pack_rec(ctx, avail, covered, chosen, weight, bin(forced).count("1")):
             return _from_words(ctx.best_wit, ctx.nw)
         return None
@@ -435,9 +452,13 @@ def pack_feasible(int n, cov_masks, forced, banned, int target, size_cap=None):
 # shared helpers (python-level, setup cost only)
 # ---------------------------------------------------------------------------
 
-def _greedy_cover_py(masks):
-    chosen = 0
-    unsat = list(masks)
+def _greedy_cover_py(masks, forced, banned):
+    if forced & banned:
+        return None
+    chosen = forced
+    unsat = [m & ~banned for m in masks if not m & forced]
+    if any(m == 0 for m in unsat):
+        return None
     while unsat:
         counts = {}
         for m in unsat:

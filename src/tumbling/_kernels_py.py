@@ -20,20 +20,44 @@ The requirement list reaches the cover kernels already dominance-filtered
 and in scan order (``solvers`` filters it once per solve); the kernels do
 not filter again.
 
+The optimizing kernels take ``roots``, a sequence of ``(forced, banned)``
+vertex masks: start nodes searched in turn against one shared incumbent.
+They return the optimum over the sets S with ``forced <= S`` and
+``S & banned == 0`` for some root, a witness that meets one root, and the
+nodes summed over all roots; a ValueError means that no root admits a set.
+A root conflicting with itself (forced & banned, or for packing two forced
+vertices with overlapping coverage) is skipped; a packing root starts from
+its forced vertices' coverage with their conflicts removed, as
+``pack_feasible`` does.  The default ``((0, 0),)`` is the plain search.
+Roots are how a caller that knows the graph's symmetry (``density`` on a
+toroidal quotient) searches one branch per vertex orbit instead of every
+symmetric copy of each optimum; the kernels assume no symmetry themselves.
+
 The compiled extension in ``_kernels.pyx`` implements the same interface
 over fixed-width machine words; results are identical, only speed differs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 #: Largest vertex count this backend accepts (no real limit for Python ints).
 MAX_N = 1 << 20
 
+#: Start nodes of an optimizing search, as (forced, banned) vertex masks.
+Roots = Sequence[tuple[int, int]]
 
-def _greedy_cover(n: int, masks: list[int]) -> int:
-    """Greedy hitting set used as the initial upper bound; returns a mask."""
-    chosen = 0
-    unsat = [m for m in masks]
+
+def _greedy_cover(masks: list[int], forced: int, banned: int) -> int | None:
+    """Greedy hitting set with every forced and no banned vertex, used as an
+    initial upper bound; returns a mask, or None when the root admits none."""
+    if forced & banned:
+        return None
+    chosen = forced
+    free = ~banned
+    unsat = [m & free for m in masks if not m & forced]
+    if any(m == 0 for m in unsat):
+        return None
     while unsat:
         counts = {}
         for m in unsat:
@@ -48,17 +72,22 @@ def _greedy_cover(n: int, masks: list[int]) -> int:
     return chosen
 
 
-def solve_cover(n: int, masks: list[int]) -> tuple[int, int, int]:
-    """Minimum hitting set of the requirement masks.
+def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int, int, int]:
+    """Minimum hitting set of the requirement masks among the sets that meet
+    some root's constraints.
 
     Returns (optimum size, witness mask, explored node count).  Every mask
     must be nonzero; feasibility screening and dominance filtering are the
-    caller's job.  Requirements are scanned in the order given.
+    caller's job.  Requirements are scanned in the order given.  Raises
+    ValueError when no root admits a hitting set.
     """
     if any(m == 0 for m in masks):
         raise ValueError("infeasible: empty requirement")
-    seed = _greedy_cover(n, masks)
-    best = [seed.bit_count(), seed]
+    best = [n + 1, None]
+    for forced, banned in roots:
+        seed = _greedy_cover(masks, forced, banned)
+        if seed is not None and seed.bit_count() < best[0]:
+            best = [seed.bit_count(), seed]
     nodes = [0]
 
     def rec(live: list[int], chosen: int, count: int, banned: int) -> None:
@@ -102,7 +131,11 @@ def solve_cover(n: int, masks: list[int]) -> tuple[int, int, int]:
             if count + 1 >= best[0]:
                 break
 
-    rec(masks, 0, 0, 0)
+    for forced, banned in roots:
+        if not forced & banned:
+            rec(masks, forced, forced.bit_count(), banned)
+    if best[1] is None:
+        raise ValueError("infeasible: no root admits a hitting set")
     return best[0], best[1], nodes[0]
 
 
@@ -167,14 +200,35 @@ def _conflicts(n: int, cov: list[int]) -> list[int]:
     return conf
 
 
-def solve_pack(n: int, cov: list[int]) -> tuple[int, int, int]:
-    """Maximum coverage by pairwise-disjoint coverage masks.
+def _pack_start(n: int, cov: list[int], conf: list[int], forced: int, banned: int) -> tuple[int, int] | None:
+    """(available, covered) masks once the forced vertices are taken, or None
+    when they overlap the banned ones or conflict with each other."""
+    if forced & banned:
+        return None
+    covered = 0
+    avail = ((1 << n) - 1) & ~banned & ~forced
+    fm = forced
+    while fm:
+        low = fm & -fm
+        fm ^= low
+        b = low.bit_length() - 1
+        if conf[b] & forced:
+            return None
+        covered |= cov[b]
+        avail &= ~conf[b]
+    return avail, covered
+
+
+def solve_pack(n: int, cov: list[int], roots: Roots = ((0, 0),)) -> tuple[int, int, int]:
+    """Maximum coverage by pairwise-disjoint coverage masks among the sets
+    that meet some root's constraints.
 
     Returns (covered count, witness mask, explored node count).  The witness
-    is a conflict-free set; its coverage masks are pairwise disjoint.
+    is a conflict-free set; its coverage masks are pairwise disjoint.  Raises
+    ValueError when no root admits a conflict-free set.
     """
     conf = _conflicts(n, cov)
-    best = [0, 0]
+    best = [-1, None]
     nodes = [0]
 
     def rec(avail: int, covered: int, chosen: int) -> None:
@@ -204,7 +258,12 @@ def solve_pack(n: int, cov: list[int]) -> tuple[int, int, int]:
         rec(avail & ~bit & ~conf[branch], covered | cov[branch], chosen | bit)
         rec(avail & ~bit, covered, chosen)
 
-    rec((1 << n) - 1, 0, 0)
+    for forced, banned in roots:
+        start = _pack_start(n, cov, conf, forced, banned)
+        if start is not None:
+            rec(*start, forced)
+    if best[1] is None:
+        raise ValueError("infeasible: no root admits a packing")
     return best[0], best[1], nodes[0]
 
 
@@ -217,20 +276,11 @@ def pack_feasible(
     Returns the mask of one such S, or None when there is none; the empty
     set (mask 0) is a witness whenever target <= 0.
     """
-    if forced & banned:
-        return None
     conf = _conflicts(n, cov)
-    covered = 0
-    avail = ((1 << n) - 1) & ~banned & ~forced if n else 0
-    fm = forced
-    while fm:
-        low = fm & -fm
-        fm ^= low
-        b = low.bit_length() - 1
-        if conf[b] & forced:
-            return None
-        covered |= cov[b]
-        avail &= ~conf[b]
+    start = _pack_start(n, cov, conf, forced, banned)
+    if start is None:
+        return None
+    avail, covered = start
     cap = size_cap if size_cap is not None else n
     if forced.bit_count() > cap:
         return None

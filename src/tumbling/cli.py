@@ -63,6 +63,13 @@ DENSITY_TARGETS = {
 }
 
 
+#: Largest det a density record may name, and the largest ``tb density
+#: --max-det``: far above any sweep that finishes, and small enough that
+#: ``tb verify`` builds the record's quotient (3*det vertices) in well under
+#: a second, so every record the tool emits can be verified.
+MAX_RECORD_DET = 1024
+
+
 def _add_graph_source_args(p: argparse.ArgumentParser, with_input: bool = True):
     if with_input:
         p.add_argument("--input", help="read a graph file (edges, json, or dimacs)")
@@ -187,6 +194,8 @@ def cmd_solve(args) -> int:
 
 def cmd_density(args) -> int:
     kind = ParamKind(args.param)
+    if args.max_det > MAX_RECORD_DET:
+        raise ValueError(f"--max-det is capped at {MAX_RECORD_DET}, got {args.max_det}")
     record = search(kind, args.max_det)
     q = record.quotient
     print(f"{kind.value} best density: {record.density}")
@@ -271,15 +280,23 @@ def _int_list(payload: dict, key: str) -> list[int]:
     return values
 
 
+def _in_range(g: FiniteGraph, witness) -> bool:
+    """Every witness entry names a vertex of g."""
+    return all(0 <= v < g.n for v in witness)
+
+
 def _verify_solve_record(payload: dict) -> bool:
     g = graph_from_document(document_from_payload(payload["graph"]))
     kind = ParamKind(payload["param"])
-    return verify_witness(g, kind, _int_list(payload, "witness"), _field(payload, "value"))
+    witness = _int_list(payload, "witness")
+    return _in_range(g, witness) and verify_witness(g, kind, witness, _field(payload, "value"))
 
 
 def _verify_density_record(payload: dict) -> bool:
     a, c, d = _int_list(payload, "quotient")
     q = LatticeQuotient(a, c, d)
+    if q.det > MAX_RECORD_DET:
+        raise ParseError(f"a density record's det is at most {MAX_RECORD_DET}, got {q.det}")
     kind = ParamKind(payload["param"])
     # every producer records exactly the kind's radius; a larger one would
     # only make validation slower (its offset table grows with the radius)
@@ -298,7 +315,7 @@ def _verify_density_record(payload: dict) -> bool:
     g = build_quotient(q)
     # an exact cover's size is its pattern size, and it covers all n vertices
     value = g.n if record.exact_cover else record.size
-    if not verify_witness(g, kind, record.witness, value):
+    if not _in_range(g, record.witness) or not verify_witness(g, kind, record.witness, value):
         return False
     if record.exact_cover and len(record.witness) != record.size:
         return False

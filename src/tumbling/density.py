@@ -12,6 +12,14 @@ representative's optimum, with the witness carried across by the induced
 vertex map.  That map is checked to be a graph isomorphism, and the carried
 witness is re-verified on the quotient's own graph, before the record is
 returned.
+
+Within one quotient the same symmetry prunes the proof (orbital branching at
+the root of the branch and bound).  The block translations act transitively
+on each vertex class, and the 180-degree rotation swaps W and V, so every
+nonempty optimum has a copy that contains ``w(0,0)`` or one that lies inside
+U and contains ``u(0,0)``.  The solver searches only those two branches (see
+:func:`_orbit_roots`), after checking that the three generating maps are
+automorphisms of the built quotient graph.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import quotient
+from .graph import FiniteGraph
 from .lattice import FamilyKind, FamilySpec, VertexAddr, build_family
 from .quotient import (
     LatticeQuotient,
@@ -94,8 +104,9 @@ def min_density(kind: ParamKind, q: LatticeQuotient, deterministic: bool = True)
 
 def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) -> tuple[DensityRecord, SolveStats]:
     """Exact solve on a quotient that the caller has already validated at
-    ``required_radius(kind)``."""
-    res = solve(build_quotient(q), kind, deterministic=deterministic)
+    ``required_radius(kind)``, searching only the orbital root branches."""
+    g = build_quotient(q)
+    res = solve(g, kind, deterministic=deterministic, _roots=_orbit_roots(q, g))
     record = DensityRecord(
         kind=kind,
         quotient=q,
@@ -105,6 +116,51 @@ def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) ->
         validated_radius=required_radius(kind),
     )
     return record, res.stats
+
+
+def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what: str) -> list[int]:
+    """The vertex map x -> q.reduce_addr(f(x)) from ``src`` to ``dst``, the
+    built graph of ``q``, as a list of indices.
+
+    Raises RuntimeError(what) unless the map is a bijection that carries the
+    edges of ``src`` onto the edges of ``dst``.
+    """
+    index = {lab: k for k, lab in enumerate(dst.labels)}
+    phi = [index[q.reduce_addr(f(lab))] for lab in src.labels]
+    if sorted(phi) != list(range(dst.n)) or any(
+        {phi[y] for y in src.adj[x]} != set(dst.adj[phi[x]]) for x in range(src.n)
+    ):
+        raise RuntimeError(what)
+    return phi
+
+
+def _orbit_roots(q: LatticeQuotient, g: FiniteGraph) -> tuple[tuple[int, int], ...]:
+    """Root branches of an orbital search on ``g``, the built graph of ``q``:
+    force ``w(0,0)``; or ban W and V and force ``u(0,0)``.
+
+    In ``quotient_labels`` order the classes are the blocks W = [0, det),
+    U = [det, 2 det) and V = [2 det, 3 det), each starting at its (0, 0)
+    vertex.  The translations by (1, 0) and (0, 1) generate a group that is
+    transitive on each block, and the 180-degree rotation (M = -I maps every
+    sublattice onto itself) swaps W and V.  So an optimum that meets W or V
+    has a copy containing ``w(0,0)``, and any other nonempty one has a copy
+    inside U containing ``u(0,0)``.  Raises RuntimeError unless all three
+    maps are automorphisms of ``g`` and the rotation carries W onto V.
+    """
+    det = q.det
+    for name, f in (("translation (1,0)", _shift(1, 0)), ("translation (0,1)", _shift(0, 1))):
+        _induced_map(g, g, q, f, f"{name} is not an automorphism of quotient {q}")
+    half_turn = quotient.POINT_GROUP[3]
+    phi = _induced_map(g, g, q, half_turn.apply, f"rotation {half_turn} is not an automorphism of quotient {q}")
+    if sorted(phi[:det]) != list(range(2 * det, 3 * det)):
+        raise RuntimeError(f"rotation {half_turn} does not swap W and V on quotient {q}")
+    w_block = (1 << det) - 1
+    return ((1, 0), (1 << det, w_block | w_block << 2 * det))
+
+
+def _shift(di: int, dj: int):
+    """The block translation x -> x + (di, dj)."""
+    return lambda x: VertexAddr(x.cls, x.i + di, x.j + dj)
 
 
 def _solve_one(args):
@@ -167,8 +223,10 @@ def density_sweep(
         )
     slowest_q, (_rec, slowest) = max(zip(reps, results), key=lambda item: item[1][1].elapsed)
     _log.info(
-        "%s sweep to det %d: %d valid quotients, %d representatives solved, slowest %s (%.3fs)",
+        "%s sweep to det %d: %d valid quotients, %d representatives solved, slowest %s (%.3fs), "
+        "proof %d nodes in %.3fs",
         kind.value, max_det, len(quots), len(reps), slowest_q, slowest.elapsed,
+        sum(stats.nodes for _rec, stats in results), sum(stats.proof_s for _rec, stats in results),
     )
     return [
         solved[q] if q in solved else _carry_record(solved[orbits[q][0]], q, orbits[q][1])
@@ -183,13 +241,10 @@ def _carry_record(rec: DensityRecord, q: LatticeQuotient, g: LatticeSymmetry) ->
     Raises RuntimeError unless the map is an isomorphism of the two quotient
     graphs and the carried witness passes ``verify_witness`` on q's graph.
     """
-    src, dst = build_quotient(rec.quotient), build_quotient(q)
-    index = {lab: k for k, lab in enumerate(dst.labels)}
-    phi = [index[q.reduce_addr(g.apply(lab))] for lab in src.labels]
-    if sorted(phi) != list(range(dst.n)) or any(
-        {phi[y] for y in src.adj[x]} != set(dst.adj[phi[x]]) for x in range(src.n)
-    ):
-        raise RuntimeError(f"symmetry {g} does not map quotient {rec.quotient} onto {q}")
+    dst = build_quotient(q)
+    phi = _induced_map(
+        build_quotient(rec.quotient), dst, q, g.apply, f"symmetry {g} does not map quotient {rec.quotient} onto {q}"
+    )
     witness = tuple(sorted(phi[x] for x in rec.witness))
     if not verify_witness(dst, rec.kind, witness, rec.size):
         raise RuntimeError(f"witness carried from {rec.quotient} fails re-verification on {q}")
@@ -243,7 +298,7 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
         if orbits[q][0] != q:
             continue
         g = build_quotient(q)
-        res = solve(g, ParamKind.F_OP_MAX)
+        res = solve(g, ParamKind.F_OP_MAX, _roots=_orbit_roots(q, g))
         if res.value == g.n:
             return DensityRecord(
                 kind=ParamKind.F_OP_MAX,

@@ -403,31 +403,44 @@ def _lex_min_pack(kern, kind: ParamKind, n: int, cov: list[int], best: int, witn
     return chosen, calls + lex_calls
 
 
-def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True) -> SolveResult:
+def _check_roots(found: int, kind: ParamKind, n: int, roots) -> int:
+    """``found`` after checking that it meets the constraints of some root."""
+    if not any(found & forced == forced and not found & banned for forced, banned in roots):
+        raise _kernel_bug(kind, n, "witness meets no root")
+    return found
+
+
+def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots=None) -> SolveResult:
     """Prove the exact parameter value and return a verified witness.
 
     With ``deterministic`` (the default) the witness is re-selected to be the
     canonical optimal one, so repeated and concurrent runs agree bit for bit.
+
+    ``_roots`` is for callers that know the graph's symmetry: the proof
+    searches only from those ``(forced, banned)`` start nodes (see
+    ``_kernels_py``), so some optimum must meet one of them.  By default
+    there is one unconstrained root and no symmetry is assumed.
     """
     t0 = time.perf_counter()
     _check_feasible(g, kind)
     kern = kernels_for(g.n)
     n = g.n
+    roots = ((0, 0),) if _roots is None else tuple(_roots)
     calls = 0
     if kind.minimizes:
         reqs = _dominance_filter(_cover_requirements(g, kind))
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_cover(n, reqs)
+        value, wit_mask, nodes = kern.solve_cover(n, reqs, roots)
         t_canon = time.perf_counter()
-        wit_mask = _check_cover(wit_mask, kind, n, reqs, 0, 0, value)
+        wit_mask = _check_roots(_check_cover(wit_mask, kind, n, reqs, 0, 0, value), kind, n, roots)
         if deterministic:
             wit_mask, calls = _lex_min_cover(kern, kind, n, reqs, value, wit_mask)
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_pack(n, cov)
+        value, wit_mask, nodes = kern.solve_pack(n, cov, roots)
         t_canon = time.perf_counter()
-        wit_mask = _check_pack(wit_mask, kind, n, cov, value, 0, 0, n)
+        wit_mask = _check_roots(_check_pack(wit_mask, kind, n, cov, value, 0, 0, n), kind, n, roots)
         if deterministic:
             wit_mask, calls = _lex_min_pack(kern, kind, n, cov, value, wit_mask)
     t_end = time.perf_counter()

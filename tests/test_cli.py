@@ -232,6 +232,47 @@ def test_verify_malformed_density_record_exit_2(capsys, tmp_path, field, bad):
     assert f"record field {field!r}" in err
 
 
+def test_verify_out_of_range_density_witness_fails(capsys, tmp_path):
+    # q(2,0,5) has 30 vertices, so 99 names none of them
+    payload = {"type": "density", "param": "gamma", "quotient": [2, 0, 5], "size": 6,
+               "density": "1/5", "witness": [0, 1, 2, 3, 4, 99], "validated_radius": 1,
+               "exact_cover": False}
+    code, out, _ = _verify_payload(capsys, tmp_path, payload)
+    assert (code, out) == (1, "FAIL\n")
+
+
+def test_verify_negative_solve_witness_fails(capsys, tmp_path):
+    rec = tmp_path / "rec.json"
+    assert run(capsys, "solve", "--family", "tbt", "--rows", "1", "--param", "gamma",
+               "--emit", str(rec))[0] == 0
+    payload = json.loads(rec.read_text())
+    code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "witness": [-1, *payload["witness"][1:]]})
+    assert (code, out) == (1, "FAIL\n")
+
+
+def test_verify_rejects_a_det_over_the_cap_quickly(capsys, tmp_path):
+    import time
+
+    from tumbling.cli import MAX_RECORD_DET
+
+    assert MAX_RECORD_DET < 1000000
+    payload = {"type": "density", "param": "gamma", "quotient": [1000000, 0, 1], "size": 1,
+               "density": "1/3000000", "witness": [0], "validated_radius": 1, "exact_cover": False}
+    start = time.perf_counter()
+    code, _, err = _verify_payload(capsys, tmp_path, payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(MAX_RECORD_DET) in err
+
+
+def test_density_max_det_over_the_cap_exit_2(capsys):
+    from tumbling.cli import MAX_RECORD_DET
+
+    code, out, err = run(capsys, "density", "--param", "gamma", "--max-det", str(MAX_RECORD_DET + 1))
+    assert code == 2
+    assert out == "" and str(MAX_RECORD_DET) in err
+
+
 def test_verify_non_object_record_exit_2(capsys, tmp_path):
     code, _, err = _verify_payload(capsys, tmp_path, [1, 2, 3])
     assert code == 2

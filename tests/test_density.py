@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import logging
+import re
 
 import tumbling.density as density_mod
 import tumbling.quotient as quotient_mod
@@ -21,6 +22,7 @@ from tumbling.density import (
     search,
     valid_quotients,
 )
+from tumbling.lattice import VClass
 from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits
 from tumbling.solvers import _PREDICATES, InfeasibleError, ParamKind, _packing_value, verify_witness
 
@@ -221,9 +223,9 @@ def test_sweep_solves_only_representatives(monkeypatch):
     solved = []
     real_solve = density_mod.solve
 
-    def recording_solve(g, kind, deterministic=True):
+    def recording_solve(g, kind, deterministic=True, **kwargs):
         solved.append(g.n)
-        return real_solve(g, kind, deterministic=deterministic)
+        return real_solve(g, kind, deterministic=deterministic, **kwargs)
 
     monkeypatch.setattr(density_mod, "solve", recording_solve)
     records = density_sweep(ParamKind.LD, 12, threads=1)
@@ -273,11 +275,112 @@ def test_sweep_logs_each_representative_and_a_summary(caplog):
     debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert len(debug) == len(reps) < len(records)
+    nodes = 0
     for q, msg in zip(reps, debug):
         size = sum(rep == q for rep, _g in orbits.values())
         assert msg.startswith(f"old on {q}: orbit of {size}, ")
         assert " nodes, " in msg and msg.endswith("s")
+        nodes += int(msg.split(", ")[1].removesuffix(" nodes"))
     assert len(info) == 1
     assert info[0].startswith(
         f"old sweep to det 9: {len(records)} valid quotients, {len(reps)} representatives solved, slowest ("
     )
+    # the summary's proof nodes are the representatives' nodes, summed
+    assert nodes > 0
+    assert re.search(rf", proof {nodes} nodes in \d+\.\d{{3}}s$", info[0]), info[0]
+
+
+# ---------------------------------------------------------------------------
+# orbital branching: quotient solves search only the two root branches
+# ---------------------------------------------------------------------------
+
+def _representatives(max_det, radius):
+    orbits = quotient_orbits(valid_quotients(max_det, radius))
+    return [q for q, (rep, _g) in orbits.items() if rep == q]
+
+
+def _value_or_infeasible(fn):
+    try:
+        return fn()
+    except InfeasibleError:
+        return "infeasible"
+
+
+@pytest.mark.parametrize("kind", list(ParamKind), ids=lambda k: k.value)
+def test_orbital_solve_matches_plain_solve(kind):
+    """Every orbit representative with det <= 12 gets the same optimum from
+    the plain branch and bound and from the two orbital root branches."""
+    from tumbling.solvers import solve
+
+    reps = _representatives(12, required_radius(kind))
+    assert reps
+    for q in reps:
+        plain = _value_or_infeasible(lambda: solve(build_quotient(q), kind, deterministic=False).value)
+        orbital = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False)[0].size)
+        assert orbital == plain, (kind, q)
+
+
+def test_orbital_solve_reproduces_the_canonical_fixture():
+    """The canonical pass does not depend on which optimum the proof found:
+    every quotient case of tests/data/canonical_witnesses.json gets the
+    stored witness from the orbital solve."""
+    import json
+    from pathlib import Path
+
+    stored = json.loads((Path(__file__).parent / "data" / "canonical_witnesses.json").read_text())
+    cases = [e for e in stored if e["graph"].startswith("q(")]
+    assert len(cases) == 404
+    for entry in cases:
+        q = LatticeQuotient(*(int(x) for x in entry["graph"][2:-1].split(",")))
+        kind = ParamKind(entry["kind"])
+        try:
+            rec = density_mod._solve_quotient(kind, q, deterministic=True)[0]
+        except InfeasibleError:
+            assert entry.get("infeasible"), entry
+            continue
+        assert (rec.size, list(rec.witness)) == (entry["value"], entry["witness"]), entry
+
+
+def test_orbital_solve_matches_brute_force():
+    """Every quotient with det <= 6 that builds, all seven kinds."""
+    from tumbling.quotient import DegenerateQuotientError, enumerate_hnf
+    from tumbling.solvers import brute_force
+
+    checked = 0
+    for q in enumerate_hnf(6):
+        try:
+            g = build_quotient(q)
+        except DegenerateQuotientError:
+            continue
+        for kind in ParamKind:
+            ref = _value_or_infeasible(lambda: brute_force(g, kind).value)
+            got = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False)[0].size)
+            assert got == ref, (kind, q)
+            checked += 1
+    assert checked == 7 * 17  # every kind on the 17 quotients that build
+
+
+def _broken_half_turn_group():
+    # rotation by 180 degrees with the W shift dropped: the matrix is right,
+    # so the orbits stay the same, but the vertex map is no automorphism
+    rot = POINT_GROUP[3]
+    assert rot.m == (-1, 0, 0, -1) and rot.w_shift != (0, 0)
+    return POINT_GROUP[:3] + (rot._replace(w_shift=(0, 0)),) + POINT_GROUP[4:]
+
+
+def test_sweep_raises_on_a_broken_half_turn(monkeypatch):
+    monkeypatch.setattr(quotient_mod, "POINT_GROUP", _broken_half_turn_group())
+    with pytest.raises(RuntimeError, match=r"rotation .* is not an automorphism of quotient"):
+        density_sweep(ParamKind.LD, 9, threads=1)
+
+
+def test_sweep_raises_on_a_broken_translation(monkeypatch):
+    real_shift = density_mod._shift
+    # a translation that moves only the W class
+    monkeypatch.setattr(
+        density_mod, "_shift", lambda di, dj: lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
+    )
+    with pytest.raises(RuntimeError, match=r"translation \(1,0\) is not an automorphism of quotient"):
+        density_sweep(ParamKind.GAMMA, 8, threads=1)
+    with pytest.raises(RuntimeError, match="translation"):
+        perfect_open_pattern(9)

@@ -286,3 +286,76 @@ def test_quotient_orbits_representatives():
             assert g.image(rep) == q
             orbit = {h.image(q) for h in POINT_GROUP}
             assert rep == min(orbit, key=lambda x: (x.det, x.a, x.c))
+
+
+# ---------------------------------------------------------------------------
+# the symmetry behind orbital branching in density solves
+# ---------------------------------------------------------------------------
+
+def _shift(di, dj):
+    return lambda x: VertexAddr(x.cls, x.i + di, x.j + dj)
+
+
+GENERATORS = {"t10": _shift(1, 0), "t01": _shift(0, 1), "rot180": POINT_GROUP[3].apply}
+
+
+def _automorphism(q, graph, f):
+    """x -> q.reduce_addr(f(x)) on the built graph of q, as an index list,
+    when it is a bijection that maps the edge set onto itself; else None."""
+    phi = [graph.index_of(q.reduce_addr(f(lab))) for lab in graph.labels]
+    if sorted(phi) != list(range(graph.n)):
+        return None
+    edges = {frozenset((x, y)) for x in range(graph.n) for y in graph.adj[x]}
+    return phi if {frozenset((phi[x], phi[y])) for x, y in map(tuple, edges)} == edges else None
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_translations_and_half_turn_are_quotient_automorphisms(radius):
+    """On every valid quotient with det <= 16: both unit translations and the
+    180-degree rotation are automorphisms, the rotation maps the W block onto
+    the V block, and the translations act transitively on each block."""
+    assert POINT_GROUP[3].m == (-1, 0, 0, -1) and POINT_GROUP[3].swap
+    quots = [q for q in enumerate_hnf(16) if validate_quotient(q, radius)]
+    assert len(quots) == {1: 174, 2: 97}[radius]
+    for q in quots:
+        g = build_quotient(q)
+        det = q.det
+        assert [lab.cls for lab in g.labels] == [VClass.W] * det + [VClass.U] * det + [VClass.V] * det
+        assert [g.labels[c * det] for c in range(3)] == ROOTS
+        phi = {name: _automorphism(q, g, f) for name, f in GENERATORS.items()}
+        assert all(p is not None for p in phi.values()), q
+        assert sorted(phi["rot180"][x] for x in range(det)) == list(range(2 * det, 3 * det)), q
+        for c in range(3):
+            orbit, frontier = {c * det}, [c * det]
+            while frontier:
+                x = frontier.pop()
+                for y in (phi["t10"][x], phi["t01"][x]):
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            assert orbit == set(range(c * det, (c + 1) * det)), (q, c)
+
+
+def test_generators_preserve_the_requirement_sets():
+    """Each generator maps the dominance-filtered requirement set of every
+    cover kind onto itself (det <= 12), so it maps optima to optima."""
+    from tumbling.density import required_radius
+    from tumbling.solvers import InfeasibleError, ParamKind, _check_feasible, _cover_requirements, _dominance_filter
+
+    checked = 0
+    for kind in (k for k in ParamKind if k.minimizes):
+        for q in enumerate_hnf(12):
+            if not validate_quotient(q, required_radius(kind)):
+                continue
+            g = build_quotient(q)
+            try:
+                _check_feasible(g, kind)
+            except InfeasibleError:
+                continue
+            reqs = set(_dominance_filter(_cover_requirements(g, kind)))
+            for f in GENERATORS.values():
+                phi = _automorphism(q, g, f)
+                image = {sum(1 << phi[v] for v in range(g.n) if m >> v & 1) for m in reqs}
+                assert image == reqs, (kind, q)
+            checked += 1
+    assert checked == 306  # feasible (kind, quotient) pairs

@@ -289,6 +289,26 @@ def test_canonical_cover_fails_loudly_on_inconsistent_kernel(monkeypatch, fault,
         solve(cycle(8), ParamKind.GAMMA)
 
 
+def test_proof_witness_outside_every_root_fails_loudly(monkeypatch):
+    import types
+
+    import tumbling.solvers as solve_mod
+
+    def unrooted_cover(n, reqs, roots):
+        return _kernels_py.solve_cover(n, reqs)
+
+    def unrooted_pack(n, cov, roots):
+        return _kernels_py.solve_pack(n, cov)
+
+    stub = types.SimpleNamespace(MAX_N=_kernels_py.MAX_N, solve_cover=unrooted_cover, solve_pack=unrooted_pack)
+    monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
+    # the plain C8 optima contain vertex 0, so a root banning it is never met
+    for kind in (ParamKind.GAMMA, ParamKind.F_MAX):
+        assert 0 in solve(cycle(8), kind, deterministic=False).witness
+        with pytest.raises(RuntimeError, match=rf"{kind.value} on n=8: witness meets no root"):
+            solve(cycle(8), kind, deterministic=False, _roots=[(0b10, 0b1)])
+
+
 def test_pack_size_bound_never_exceeds_the_fewest_vertices():
     from tumbling.solvers import _pack_size_bound
 
@@ -358,6 +378,77 @@ def test_feasibility_kernel_contract(kernel, k1):
             assert (found is not None) == exists, (trial, cov, forced, banned, target, cap)
             if found is not None:
                 assert type(found) is int and _meets_pack(found, cov, forced, banned, target, bound)
+
+
+def _pack_value(s, cov):
+    """Vertices covered by the set s, or None when two of its coverage masks overlap."""
+    covered = 0
+    for v in range(len(cov)):
+        if s >> v & 1:
+            if cov[v] & covered:
+                return None
+            covered |= cov[v]
+    return covered.bit_count()
+
+
+def _meets_root(s, roots):
+    return any(s & forced == forced and not s & banned for forced, banned in roots)
+
+
+def _roots_cases():
+    """Seeded instances for the optimizing kernels: (n, reqs, cov, roots)
+    with n <= 12 and one to three random (forced, banned) roots."""
+    import random
+
+    rng = random.Random(20261019)
+    for trial in range(120):
+        n = rng.randint(1, 12)
+        g = random_graph(n, rng.choice((0.2, 0.35, 0.5)), 3000 + trial)
+        reqs = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+        cov = list(g.closed_masks() if rng.random() < 0.5 else g.open_masks())
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            forced = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            banned = rng.getrandbits(n) & rng.getrandbits(n) & ~(forced if rng.random() < 0.9 else 0)
+            roots.append((forced, banned))
+        yield n, reqs, cov, roots
+
+
+#: sha256 of repr([(solve_cover(n, reqs), solve_pack(n, cov)) for each case
+#: of _roots_cases()]) as the kernels returned them before they took roots.
+PLAIN_SEARCH_DIGEST = "7be99a289d75c6316368e1d90789c1cb005173bf62593d15d013b8b233698950"
+
+
+def test_optimizing_kernel_roots_contract(kernel):
+    """The optimum over the sets that meet some root equals plain
+    enumeration's, the witness meets a root, a ValueError means no root
+    admits a set, and the default roots are the plain search."""
+    import hashlib
+
+    plain = []
+    for n, reqs, cov, roots in _roots_cases():
+        covers = [s.bit_count() for s in range(1 << n) if all(m & s for m in reqs) and _meets_root(s, roots)]
+        if covers:
+            value, wit, _nodes = kernel.solve_cover(n, reqs, roots)
+            assert value == min(covers), (n, reqs, roots)
+            assert all(m & wit for m in reqs) and wit.bit_count() == value and _meets_root(wit, roots)
+        else:
+            with pytest.raises(ValueError):
+                kernel.solve_cover(n, reqs, roots)
+
+        packs = [_pack_value(s, cov) for s in range(1 << n) if _meets_root(s, roots)]
+        packs = [v for v in packs if v is not None]
+        if packs:
+            value, wit, _nodes = kernel.solve_pack(n, cov, roots)
+            assert value == max(packs), (n, cov, roots)
+            assert _pack_value(wit, cov) == value and _meets_root(wit, roots)
+        else:
+            with pytest.raises(ValueError):
+                kernel.solve_pack(n, cov, roots)
+
+        plain.append((kernel.solve_cover(n, reqs), kernel.solve_pack(n, cov)))
+        assert plain[-1] == (kernel.solve_cover(n, reqs, ((0, 0),)), kernel.solve_pack(n, cov, [(0, 0)]))
+    assert hashlib.sha256(repr(plain).encode()).hexdigest() == PLAIN_SEARCH_DIGEST
 
 
 def test_kernels_for_logs_fallback(monkeypatch, caplog):
