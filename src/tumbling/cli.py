@@ -280,6 +280,14 @@ def _int_list(payload: dict, key: str) -> list[int]:
     return values
 
 
+def _fraction(payload: dict, key: str) -> Fraction:
+    text = _field(payload, key, str)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"record field {key!r} must be a fraction, got {text!r}") from exc
+
+
 def _in_range(g: FiniteGraph, witness) -> bool:
     """Every witness entry names a vertex of g."""
     return all(0 <= v < g.n for v in witness)
@@ -301,17 +309,17 @@ def _verify_density_record(payload: dict) -> bool:
     # every producer records exactly the kind's radius; a larger one would
     # only make validation slower (its offset table grows with the radius)
     radius = _field(payload, "validated_radius")
-    if radius != required_radius(kind) or not validate_quotient(q, radius):
-        return False
     record = DensityRecord(
         kind=kind,
         quotient=q,
         size=_field(payload, "size"),
-        density=Fraction(_field(payload, "density", str)),
+        density=_fraction(payload, "density"),
         witness=tuple(_int_list(payload, "witness")),
         validated_radius=radius,
-        exact_cover=payload.get("exact_cover", False),
+        exact_cover=_field(payload, "exact_cover", bool) if "exact_cover" in payload else False,
     )
+    if radius != required_radius(kind) or not validate_quotient(q, radius):
+        return False
     g = build_quotient(q)
     # an exact cover's size is its pattern size, and it covers all n vertices
     value = g.n if record.exact_cover else record.size
@@ -326,11 +334,12 @@ def _verify_density_record(payload: dict) -> bool:
 
 def _verify_cut_record(payload: dict) -> bool:
     g = graph_from_document(document_from_payload(payload["graph"]))
-    cert = verify_cut(g, payload["removed"])
-    return (
-        cert.components_after == payload["components_after"]
-        and cert.isolated_after == payload["isolated_after"]
-    )
+    removed = _int_list(payload, "removed")
+    components, isolated = _field(payload, "components_after"), _field(payload, "isolated_after")
+    if not _in_range(g, removed):
+        return False
+    cert = verify_cut(g, removed)
+    return cert.components_after == components and cert.isolated_after == isolated
 
 
 def cmd_hamilton(args) -> int:
@@ -419,7 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--open", action="store_true", help="open shares instead of shares")
     p.set_defaults(func=cmd_shares)
 
-    p = sub.add_parser("verify", help="re-check an emitted record")
+    p = sub.add_parser(
+        "verify",
+        help="re-check an emitted record: its witness and arithmetic, not its optimality",
+        description="Re-check a record written by --emit: its witness and its arithmetic, "
+        "not its optimality, which only the branch and bound proves.",
+    )
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_verify)
 

@@ -6,12 +6,15 @@ quotients up to a determinant bound and solving each one exactly yields
 certified density bounds for the percentage parameters.
 
 Quotients related by a symmetry of the lattice (one point-group orbit, see
-:func:`tumbling.quotient.quotient_orbits`) are isomorphic graphs, so a sweep
-solves only the first quotient of each orbit.  Every other quotient gets the
-representative's optimum, with the witness carried across by the induced
-vertex map.  That map is checked to be a graph isomorphism, and the carried
-witness is re-verified on the quotient's own graph, before the record is
-returned.
+:func:`tumbling.quotient.quotient_orbits`) are isomorphic graphs, so only
+the first quotient of each orbit is solved.  Every other member is first
+certified by arithmetic to be an isomorphic image of it
+(:func:`tumbling.quotient.induces_isomorphism`), so it has the same optimum.
+``search`` needs nothing more and builds no graph for a member.
+``density_sweep`` returns a record for every member, with the witness
+carried across by the induced vertex map; that map is checked to be a graph
+isomorphism, and the carried witness is re-verified on the member's own
+graph, before the record is returned.
 
 Within one quotient the same symmetry prunes the proof (orbital branching at
 the root of the branch and bound).  The block translations act transitively
@@ -38,6 +41,7 @@ from .quotient import (
     LatticeSymmetry,
     build_quotient,
     enumerate_hnf,
+    induces_isomorphism,
     quotient_orbits,
     tb_ball,
     validate_quotient,
@@ -196,18 +200,52 @@ def density_sweep(
     images of those and need not be canonical on their own quotient.  The
     optimum values never depend on it.
     """
+    quots, orbits, solved = _solve_orbits(kind, max_det, threads, deterministic)
+    rep_graphs: dict[LatticeQuotient, FiniteGraph] = {}
+
+    def carried(q: LatticeQuotient) -> DensityRecord:
+        rep, g = orbits[q]
+        if rep not in rep_graphs:
+            rep_graphs[rep] = build_quotient(rep)
+        return _carry_record(solved[rep], rep_graphs[rep], q, g)
+
+    return [solved[q] if q in solved else carried(q) for q in quots]
+
+
+def _solve_orbits(
+    kind: ParamKind, max_det: int, threads: int | None, deterministic: bool
+) -> tuple[
+    list[LatticeQuotient],
+    dict[LatticeQuotient, tuple[LatticeQuotient, LatticeSymmetry]],
+    dict[LatticeQuotient, DensityRecord],
+]:
+    """The validated quotients with det <= max_det in (det, a, c) order, their
+    orbits (see :func:`quotient_orbits`), and the solved record of each
+    orbit representative.
+
+    Before any solve, every other member is certified to be an isomorphic
+    image of its representative (:func:`induces_isomorphism`), so it has the
+    same optimum; RuntimeError if a certificate fails.  No graph is built
+    for a member.  A process pool takes the representatives largest det
+    first, so that no slow solve starts last.
+    """
     quots = valid_quotients(max_det, required_radius(kind))
     if not quots:
-        return []
+        return [], {}, {}
     orbits = quotient_orbits(quots)
+    for q, (rep, g) in orbits.items():
+        if rep != q and not induces_isomorphism(g, rep, q):
+            raise RuntimeError(f"symmetry {g} does not map quotient {rep} onto {q}")
     reps = [q for q in quots if orbits[q][0] == q]
     if threads is None:
         threads = _thread_budget()
     tasks = [(kind.value, q.a, q.c, q.d, deterministic) for q in reps]
     if threads > 1 and len(tasks) > 4:
+        largest_first = sorted(range(len(reps)), key=lambda k: -reps[k].det)
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_solve_one, tasks))
+                done = dict(zip(largest_first, pool.map(_solve_one, [tasks[k] for k in largest_first])))
+            results = [done[k] for k in range(len(reps))]
         except OSError as exc:
             _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(tasks))
             results = [_solve_one(t) for t in tasks]
@@ -228,23 +266,18 @@ def density_sweep(
         kind.value, max_det, len(quots), len(reps), slowest_q, slowest.elapsed,
         sum(stats.nodes for _rec, stats in results), sum(stats.proof_s for _rec, stats in results),
     )
-    return [
-        solved[q] if q in solved else _carry_record(solved[orbits[q][0]], q, orbits[q][1])
-        for q in quots
-    ]
+    return quots, orbits, solved
 
 
-def _carry_record(rec: DensityRecord, q: LatticeQuotient, g: LatticeSymmetry) -> DensityRecord:
-    """The record of ``rec`` carried onto quotient ``q`` by the vertex map
-    x -> q.reduce_addr(g.apply(x)).
+def _carry_record(rec: DensityRecord, src: FiniteGraph, q: LatticeQuotient, g: LatticeSymmetry) -> DensityRecord:
+    """The record of ``rec``, whose quotient's built graph is ``src``, carried
+    onto quotient ``q`` by the vertex map x -> q.reduce_addr(g.apply(x)).
 
     Raises RuntimeError unless the map is an isomorphism of the two quotient
     graphs and the carried witness passes ``verify_witness`` on q's graph.
     """
     dst = build_quotient(q)
-    phi = _induced_map(
-        build_quotient(rec.quotient), dst, q, g.apply, f"symmetry {g} does not map quotient {rec.quotient} onto {q}"
-    )
+    phi = _induced_map(src, dst, q, g.apply, f"symmetry {g} does not map quotient {rec.quotient} onto {q}")
     witness = tuple(sorted(phi[x] for x in rec.witness))
     if not verify_witness(dst, rec.kind, witness, rec.size):
         raise RuntimeError(f"witness carried from {rec.quotient} fails re-verification on {q}")
@@ -260,9 +293,13 @@ def _carry_record(rec: DensityRecord, q: LatticeQuotient, g: LatticeSymmetry) ->
 
 def search(kind: ParamKind, max_det: int, threads: int | None = None) -> DensityRecord:
     """Best validated quotient pattern: minimum density, or maximum covered
-    fraction for the packing parameters.  Ties break toward (det, a, c)."""
-    records = density_sweep(kind, max_det, threads=threads)
-    if not records:
+    fraction for the packing parameters.  Ties break toward (det, a, c).
+
+    Only orbit representatives are solved.  Every other member is certified
+    to have its representative's optimum and comes later in (det, a, c)
+    order, so it never wins the tie-break."""
+    _quots, _orbits, solved = _solve_orbits(kind, max_det, threads, deterministic=False)
+    if not solved:
         raise NoValidQuotientError(
             f"no quotient with det <= {max_det} validates at radius {required_radius(kind)}"
         )
@@ -271,10 +308,9 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
         lead = rec.density if kind.minimizes else -rec.density
         return (lead, rec.quotient.det, rec.quotient.a, rec.quotient.c)
 
-    best = min(records, key=key)
+    best = min(solved.values(), key=key)
     # canonical witness for the winner only; the sweep skips the lex pass.
-    # The winner is an orbit representative, first in (det, a, c) order
-    # among quotients of its density, and already validated.
+    # The winner is already validated.
     return _solve_quotient(kind, best.quotient, deterministic=True)[0]
 
 

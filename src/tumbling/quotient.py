@@ -19,7 +19,9 @@ group D6, :data:`POINT_GROUP`).  Each acts on block coordinates by a matrix
 M in GL(2, Z), so it carries the quotient by a sublattice L onto the
 quotient by M*L, and the two are isomorphic graphs.  :func:`quotient_orbits`
 groups quotients into these orbits, so a density sweep can solve one
-quotient per orbit.
+quotient per orbit.  :func:`induces_isomorphism` certifies each orbit member
+by the same kind of arithmetic, so no member's graph need be built to trust
+that it has its representative's optimum.
 """
 
 from __future__ import annotations
@@ -265,3 +267,41 @@ def quotient_orbits(
             if image in members and image not in orbits:
                 orbits[image] = (q, g)
     return {q: orbits[q] for q in quots}
+
+
+def induces_isomorphism(g: LatticeSymmetry, rep: LatticeQuotient, q: LatticeQuotient) -> bool:
+    """True iff the vertex map x -> q.reduce_addr(g.apply(x)) is an
+    isomorphism from the quotient graph of ``rep`` onto that of ``q``.
+
+    Two facts decide it, and no graph is built.  First, g is an automorphism
+    of the infinite lattice (:func:`_is_lattice_automorphism`).  Second,
+    M*L_rep = L_q: M times each HNF basis vector of ``rep`` reduces to
+    (0, 0) under ``q.reduce``, so M*L_rep is a sublattice of L_q, and equal
+    dets make the two equal.  Then the map is well defined, since g(x + l)
+    = g(x) + M*l; it is a bijection, since g^-1 and M^-1 act the same way in
+    reverse; and it maps each quotient edge, the projection of a lattice
+    edge xy, to the projection of the lattice edge g(x)g(y), and back.
+    """
+    if rep.det != q.det or not _is_lattice_automorphism(g):
+        return False
+    m0, m1, m2, m3 = g.m
+    return (
+        q.reduce(m0 * rep.a, m2 * rep.a) == (0, 0)
+        and q.reduce(m0 * rep.c + m1 * rep.d, m2 * rep.c + m3 * rep.d) == (0, 0)
+    )
+
+
+@cache
+def _is_lattice_automorphism(g: LatticeSymmetry) -> bool:
+    """|det M| = 1, and g maps the neighbours of each class root ``w/u/v(0,0)``
+    onto the neighbours of the root's image.
+
+    g acts on each class by x -> M*x + shift, and a vertex's neighbours are
+    fixed offsets from it, so what holds at the roots holds at every vertex;
+    |det M| = 1 makes g a bijection of the lattice.
+    """
+    m0, m1, m2, m3 = g.m
+    return abs(m0 * m3 - m1 * m2) == 1 and all(
+        {g.apply(y) for y in tb_neighbors(root)} == set(tb_neighbors(g.apply(root)))
+        for root in (VertexAddr(cls, 0, 0) for cls in VClass)
+    )

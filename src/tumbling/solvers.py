@@ -280,12 +280,18 @@ def _dominance_filter(masks: list[int]) -> list[int]:
     """Drop requirements implied by a subset requirement (hit A => hit B when A <= B).
 
     The result, smallest masks first, is the scan order of the cover kernels.
+    A kept subset of m has its lowest vertex in m, so m is checked only
+    against the kept masks whose lowest bit m contains.
     """
     masks = sorted(set(masks), key=lambda m: m.bit_count())
+    if masks and masks[0] == 0:
+        return [0]  # the empty requirement is a subset of every other
     kept: list[int] = []
+    by_lowest: dict[int, list[int]] = {}
     for m in masks:
-        if not any(k & m == k for k in kept):
+        if not any(k & m == k for low, filed in by_lowest.items() if low & m for k in filed):
             kept.append(m)
+            by_lowest.setdefault(m & -m, []).append(m)
     return kept
 
 

@@ -316,6 +316,12 @@ def test_hamilton_cut_certificate(capsys, tmp_path):
     assert "OK" in out
 
 
+def test_verify_help_says_what_is_checked(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "not its optimality" in " ".join(capsys.readouterr().out.split())
+
+
 def test_hamilton_search_block(capsys):
     code, out, _ = run(capsys, "hamilton", "--family", "tbt", "--rows", "1", "--search")
     assert code == 0

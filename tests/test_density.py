@@ -267,6 +267,75 @@ def test_perfect_open_pattern_solves_only_representatives(monkeypatch):
     assert built and all(orbits[q][0] == q for q in built)
 
 
+def test_search_builds_only_representatives(monkeypatch):
+    """Orbit members are certified by arithmetic: ``search`` builds the graph
+    of each representative to solve it, and the winner's once more for the
+    canonical pass, and no other."""
+    built = []
+    real_build = density_mod.build_quotient
+
+    def recording_build(q):
+        built.append(q)
+        return real_build(q)
+
+    monkeypatch.setattr(density_mod, "build_quotient", recording_build)
+    rec = search(ParamKind.LD, 12, threads=1)
+    reps = _representatives(12, 2)
+    assert built == reps + [rec.quotient]
+
+
+def test_search_raises_on_wrong_symmetry_before_any_solve(monkeypatch):
+    solved = []
+    monkeypatch.setattr(density_mod, "solve", lambda *args, **kwargs: solved.append(args))
+    monkeypatch.setattr(quotient_mod, "POINT_GROUP", _broken_point_group())
+    with pytest.raises(RuntimeError, match="does not map quotient"):
+        search(ParamKind.GAMMA, 8, threads=1)
+    assert solved == []
+
+
+def test_carried_record_checks_the_built_graphs():
+    """The sweep's graph-level isomorphism check stands on its own: a vertex
+    map that the certificate would reject fails it too."""
+    rep = LatticeQuotient(2, 0, 5)
+    broken = _broken_point_group()[1]
+    q = broken.image(rep)
+    assert q == LatticeQuotient(10, 5, 1) and not quotient_mod.induces_isomorphism(broken, rep, q)
+    rec = min_density(ParamKind.GAMMA, rep)
+    with pytest.raises(RuntimeError, match=re.escape(f"does not map quotient {rep} onto {q}")):
+        density_mod._carry_record(rec, build_quotient(rep), q, broken)
+    carried = density_mod._carry_record(rec, build_quotient(rep), q, POINT_GROUP[1])
+    assert (carried.quotient, carried.size) == (q, rec.size)
+
+
+def test_pool_takes_the_largest_quotients_first(monkeypatch):
+    """A parallel sweep hands out representatives in decreasing det and
+    returns the records in (det, a, c) order, as a serial sweep does."""
+    handed_out = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            handed_out.extend(LatticeQuotient(a, c, d) for _kind, a, c, d, _deterministic in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", InlinePool)
+    pooled = density_sweep(ParamKind.LD, 12, threads=2)
+    reps = _representatives(12, 2)
+    assert sorted(handed_out, key=lambda q: (-q.det, q.a, q.c)) == handed_out
+    assert sorted(handed_out, key=lambda q: (q.det, q.a, q.c)) == reps
+    assert handed_out[0].det > handed_out[-1].det
+    assert pooled == density_sweep(ParamKind.LD, 12, threads=1)
+
+
 def test_sweep_logs_each_representative_and_a_summary(caplog):
     with caplog.at_level(logging.DEBUG, logger="tumbling"):
         records = density_sweep(ParamKind.OLD, 9, threads=1)

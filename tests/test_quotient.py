@@ -15,6 +15,7 @@ from tumbling.quotient import (
     LatticeSymmetry,
     build_quotient,
     enumerate_hnf,
+    induces_isomorphism,
     quotient_orbits,
     tb_ball,
     validate_quotient,
@@ -286,6 +287,49 @@ def test_quotient_orbits_representatives():
             assert g.image(rep) == q
             orbit = {h.image(q) for h in POINT_GROUP}
             assert rep == min(orbit, key=lambda x: (x.det, x.a, x.c))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_orbit_members_are_certified_isomorphic(radius):
+    """Every (representative, member, symmetry) of the valid quotients with
+    det <= 16 passes the arithmetic certificate, and the built graphs agree:
+    the induced vertex map is an isomorphism."""
+    from tumbling.density import _induced_map, valid_quotients
+
+    orbits = quotient_orbits(valid_quotients(16, radius))
+    assert len(orbits) == {1: 174, 2: 97}[radius]
+    for q, (rep, g) in orbits.items():
+        assert induces_isomorphism(g, rep, q), (rep, q, g)
+        _induced_map(build_quotient(rep), build_quotient(q), q, g.apply, f"{g} on {rep} -> {q}")
+
+
+def test_certificate_rejects_moved_shifts():
+    """Each point-group element with its W or its V shift moved by (1, 0) is
+    no lattice automorphism, so it certifies no quotient, not even the image
+    of its own matrix."""
+    for rep in (LatticeQuotient(3, 0, 3), LatticeQuotient(4, 3, 2), LatticeQuotient(5, 4, 3)):
+        for g in POINT_GROUP:
+            assert induces_isomorphism(g, rep, g.image(rep))
+            for moved in (
+                g._replace(w_shift=(g.w_shift[0] + 1, g.w_shift[1])),
+                g._replace(v_shift=(g.v_shift[0] + 1, g.v_shift[1])),
+            ):
+                assert not induces_isomorphism(moved, rep, g.image(rep)), (moved, rep)
+
+
+def test_certificate_rejects_quotients_outside_the_orbit():
+    """A true symmetry paired with a same-det quotient that is not in the
+    representative's orbit, or with one of another det, is rejected."""
+    quots = enumerate_hnf(12)
+    pairs = 0
+    for rep in quots:
+        orbit = {h.image(rep) for h in POINT_GROUP}
+        for q in quots:
+            for g in POINT_GROUP:
+                assert induces_isomorphism(g, rep, q) == (q == g.image(rep)), (g, rep, q)
+            if q.det == rep.det and q not in orbit:
+                pairs += 1
+    assert pairs > 100
 
 
 # ---------------------------------------------------------------------------

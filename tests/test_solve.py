@@ -21,6 +21,7 @@ from tumbling.solvers import (
     min_dominating,
     min_open_dominating,
     _cover_requirements,
+    _dominance_filter,
     solve,
     verify_witness,
 )
@@ -244,6 +245,40 @@ def test_kernel_word_boundary_consistency(kernel, g):
     assert opt == _kernels_py.solve_cover(n, reqs)[0]
     assert kernel.cover_feasible(n, reqs, 0, 0, opt) is not None
     assert kernel.cover_feasible(n, reqs, 0, 0, opt - 1) is None
+
+
+def _quadratic_dominance_filter(masks):
+    """The dominance filter as first written: each mask against every kept one."""
+    masks = sorted(set(masks), key=lambda m: m.bit_count())
+    kept = []
+    for m in masks:
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def test_dominance_filter_matches_the_quadratic_filter():
+    """Same kept masks in the same order, on seeded random lists (some with
+    the empty mask) and on the code requirements of the word-boundary graphs."""
+    import random
+
+    rng = random.Random(20261018)
+    lists = []
+    for _ in range(400):
+        n = rng.randint(1, 70)
+        lists.append([
+            sum(1 << v for v in rng.sample(range(n), rng.randint(0 if rng.random() < 0.05 else 1, min(n, 6))))
+            for _ in range(rng.randint(0, 80))
+        ])
+    for param in WORD_BOUNDARY_GRAPHS:
+        (g,) = param.values
+        lists += [_cover_requirements(g, kind) for kind in (ParamKind.LD, ParamKind.IC, ParamKind.OLD)]
+    dropped = 0
+    for masks in lists:
+        kept = _dominance_filter(masks)
+        assert kept == _quadratic_dominance_filter(masks), masks
+        dropped += len(set(masks)) - len(kept)
+    assert dropped > 1000
 
 
 def test_canonical_packing_fails_loudly_on_inconsistent_kernel(monkeypatch):
