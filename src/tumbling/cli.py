@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -68,6 +69,13 @@ DENSITY_TARGETS = {
 #: ``tb verify`` builds the record's quotient (3*det vertices) in well under
 #: a second, so every record the tool emits can be verified.
 MAX_RECORD_DET = 1024
+
+#: Largest vertex and edge counts of the graph document in a solve or cut
+#: record, as many as in the largest quotient a density record may name.
+#: ``--emit`` refuses larger graphs, so every record the tool emits can be
+#: verified.
+MAX_RECORD_VERTICES = 3 * MAX_RECORD_DET
+MAX_RECORD_EDGES = 6 * MAX_RECORD_DET
 
 
 def _add_graph_source_args(p: argparse.ArgumentParser, with_input: bool = True):
@@ -137,6 +145,18 @@ def _write_output(text: str, path) -> None:
         sys.stdout.write(text)
 
 
+def _over_record_cap(n: int, m: int) -> bool:
+    return n > MAX_RECORD_VERTICES or m > MAX_RECORD_EDGES
+
+
+def _check_emittable(g: FiniteGraph) -> None:
+    if _over_record_cap(g.n, g.m):
+        raise ValueError(
+            f"--emit writes graphs of at most {MAX_RECORD_VERTICES} vertices and "
+            f"{MAX_RECORD_EDGES} edges, got n={g.n} m={g.m}"
+        )
+
+
 def _emit(payload: dict, path: str) -> None:
     """Write a record for ``tb verify``, stamped with the kernel backend and
     package version that produced it (``tb verify`` ignores both)."""
@@ -168,6 +188,8 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g, doc = _resolve_graph(args)
     kind = ParamKind(args.param)
+    if args.emit:
+        _check_emittable(g)
     result = brute_force(g, kind) if args.brute else solve(g, kind)
     print(f"{kind.value} = {result.value}")
     print(f"witness: {_vertex_names(g, result.witness)}")
@@ -209,6 +231,8 @@ def cmd_density(args) -> int:
 
 
 def _density_payload(record: DensityRecord) -> dict:
+    """A density record for ``tb verify``, with the ``stats`` of the solve
+    that produced it (``tb verify`` ignores them)."""
     q = record.quotient
     return {
         "type": "density",
@@ -219,6 +243,7 @@ def _density_payload(record: DensityRecord) -> dict:
         "witness": list(record.witness),
         "validated_radius": record.validated_radius,
         "exact_cover": record.exact_cover,
+        **({"stats": asdict(record.stats)} if record.stats is not None else {}),
     }
 
 
@@ -293,8 +318,19 @@ def _in_range(g: FiniteGraph, witness) -> bool:
     return all(0 <= v < g.n for v in witness)
 
 
+def _record_graph(payload: dict) -> FiniteGraph:
+    """The graph document of a solve or cut record, checked and capped."""
+    doc = document_from_payload(payload["graph"])
+    if _over_record_cap(doc.n, doc.m):
+        raise ParseError(
+            f"a record's graph has at most {MAX_RECORD_VERTICES} vertices and "
+            f"{MAX_RECORD_EDGES} edges, got n={doc.n} m={doc.m}"
+        )
+    return graph_from_document(doc)
+
+
 def _verify_solve_record(payload: dict) -> bool:
-    g = graph_from_document(document_from_payload(payload["graph"]))
+    g = _record_graph(payload)
     kind = ParamKind(payload["param"])
     witness = _int_list(payload, "witness")
     return _in_range(g, witness) and verify_witness(g, kind, witness, _field(payload, "value"))
@@ -333,7 +369,7 @@ def _verify_density_record(payload: dict) -> bool:
 
 
 def _verify_cut_record(payload: dict) -> bool:
-    g = graph_from_document(document_from_payload(payload["graph"]))
+    g = _record_graph(payload)
     removed = _int_list(payload, "removed")
     components, isolated = _field(payload, "components_after"), _field(payload, "isolated_after")
     if not _in_range(g, removed):
@@ -344,6 +380,8 @@ def _verify_cut_record(payload: dict) -> bool:
 
 def cmd_hamilton(args) -> int:
     g, doc = _resolve_graph(args)
+    if args.emit:
+        _check_emittable(g)
     a, b, balanced = bipartite_balance(g)
     print(f"bipartition sizes: {a}, {b} ({'balanced' if balanced else 'unbalanced'})")
     if not balanced:

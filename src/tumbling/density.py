@@ -21,8 +21,13 @@ the root of the branch and bound).  The block translations act transitively
 on each vertex class, and the 180-degree rotation swaps W and V, so every
 nonempty optimum has a copy that contains ``w(0,0)`` or one that lies inside
 U and contains ``u(0,0)``.  The solver searches only those two branches (see
-:func:`_orbit_roots`), after checking that the three generating maps are
-automorphisms of the built quotient graph.
+:func:`_orbit_roots`), after certifying by arithmetic, before the solve, that
+the three generating maps are automorphisms of the quotient.
+
+:func:`lift_check` tiles a pattern over a window of the infinite lattice by
+quotient index arithmetic and finds the window's interior from per-class
+tables of ball offsets, so it builds no quotient graph and searches no ball
+per window vertex.
 """
 
 from __future__ import annotations
@@ -30,18 +35,21 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 
 from . import quotient
 from .graph import FiniteGraph
-from .lattice import FamilyKind, FamilySpec, VertexAddr, build_family
+from .lattice import FamilyKind, FamilySpec, VClass, VertexAddr, build_family
 from .quotient import (
     LatticeQuotient,
     LatticeSymmetry,
     build_quotient,
     enumerate_hnf,
     induces_isomorphism,
+    maps_root_neighbors,
+    quotient_labels,
     quotient_orbits,
     tb_ball,
     validate_quotient,
@@ -82,7 +90,9 @@ class DensityRecord:
     ``size`` is the solver objective (set size for minimization kinds,
     covered count for maximization kinds) and ``density`` is always
     size / (3 * det).  ``exact_cover`` marks perfect open-domination
-    patterns, whose recorded size is the pattern size instead.
+    patterns, whose recorded size is the pattern size instead.  ``stats`` is
+    the work of the solve that produced the record (for a carried record,
+    its representative's solve); it takes no part in comparison or hashing.
     """
 
     kind: ParamKind
@@ -92,10 +102,21 @@ class DensityRecord:
     witness: tuple[int, ...]
     validated_radius: int
     exact_cover: bool = False
+    stats: SolveStats | None = field(default=None, compare=False)
 
     def witness_addresses(self) -> tuple[VertexAddr, ...]:
-        g = build_quotient(self.quotient)
-        return tuple(g.labels[v] for v in self.witness)
+        labels = quotient_labels(self.quotient)
+        return tuple(labels[v] for v in self._checked_witness())
+
+    def _checked_witness(self) -> tuple[int, ...]:
+        """The witness, after checking that each entry is a vertex index of
+        the quotient; ValueError if one is not."""
+        n = 3 * self.quotient.det
+        if not all(0 <= v < n for v in self.witness):
+            raise ValueError(
+                f"witness {self.witness} names a vertex outside 0..{n - 1} of quotient {self.quotient}"
+            )
+        return self.witness
 
 
 def min_density(kind: ParamKind, q: LatticeQuotient, deterministic: bool = True) -> DensityRecord:
@@ -103,23 +124,23 @@ def min_density(kind: ParamKind, q: LatticeQuotient, deterministic: bool = True)
     radius = required_radius(kind)
     if not validate_quotient(q, radius):
         raise ValueError(f"quotient {q} fails validation at radius {radius}")
-    return _solve_quotient(kind, q, deterministic)[0]
+    return _solve_quotient(kind, q, deterministic)
 
 
-def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) -> tuple[DensityRecord, SolveStats]:
+def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) -> DensityRecord:
     """Exact solve on a quotient that the caller has already validated at
     ``required_radius(kind)``, searching only the orbital root branches."""
-    g = build_quotient(q)
-    res = solve(g, kind, deterministic=deterministic, _roots=_orbit_roots(q, g))
-    record = DensityRecord(
+    roots = _orbit_roots(q)
+    res = solve(build_quotient(q), kind, deterministic=deterministic, _roots=roots)
+    return DensityRecord(
         kind=kind,
         quotient=q,
         size=res.value,
         density=Fraction(res.value, 3 * q.det),
         witness=res.witness,
         validated_radius=required_radius(kind),
+        stats=res.stats,
     )
-    return record, res.stats
 
 
 def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what: str) -> list[int]:
@@ -138,9 +159,9 @@ def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what
     return phi
 
 
-def _orbit_roots(q: LatticeQuotient, g: FiniteGraph) -> tuple[tuple[int, int], ...]:
-    """Root branches of an orbital search on ``g``, the built graph of ``q``:
-    force ``w(0,0)``; or ban W and V and force ``u(0,0)``.
+def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
+    """Root branches of an orbital search on the built graph of ``q``: force
+    ``w(0,0)``; or ban W and V and force ``u(0,0)``.
 
     In ``quotient_labels`` order the classes are the blocks W = [0, det),
     U = [det, 2 det) and V = [2 det, 3 det), each starting at its (0, 0)
@@ -148,16 +169,26 @@ def _orbit_roots(q: LatticeQuotient, g: FiniteGraph) -> tuple[tuple[int, int], .
     transitive on each block, and the 180-degree rotation (M = -I maps every
     sublattice onto itself) swaps W and V.  So an optimum that meets W or V
     has a copy containing ``w(0,0)``, and any other nonempty one has a copy
-    inside U containing ``u(0,0)``.  Raises RuntimeError unless all three
-    maps are automorphisms of ``g`` and the rotation carries W onto V.
+    inside U containing ``u(0,0)``.
+
+    All three maps are certified by arithmetic, with no graph built.  A
+    translation moves every class by the same offset, so it commutes with
+    the sublattice, and it is an automorphism of every quotient once it maps
+    the neighbours of each class root onto those of the root's image
+    (:func:`tumbling.quotient.maps_root_neighbors`).  The rotation is
+    certified by :func:`tumbling.quotient.induces_isomorphism`, and its
+    ``swap`` flag carries W onto V.  Raises RuntimeError if a certificate
+    fails.
     """
-    det = q.det
     for name, f in (("translation (1,0)", _shift(1, 0)), ("translation (0,1)", _shift(0, 1))):
-        _induced_map(g, g, q, f, f"{name} is not an automorphism of quotient {q}")
+        if not maps_root_neighbors(f):
+            raise RuntimeError(f"{name} is not an automorphism of quotient {q}")
     half_turn = quotient.POINT_GROUP[3]
-    phi = _induced_map(g, g, q, half_turn.apply, f"rotation {half_turn} is not an automorphism of quotient {q}")
-    if sorted(phi[:det]) != list(range(2 * det, 3 * det)):
+    if not induces_isomorphism(half_turn, q, q):
+        raise RuntimeError(f"rotation {half_turn} is not an automorphism of quotient {q}")
+    if not half_turn.swap:
         raise RuntimeError(f"rotation {half_turn} does not swap W and V on quotient {q}")
+    det = q.det
     w_block = (1 << det) - 1
     return ((1, 0), (1 << det, w_block | w_block << 2 * det))
 
@@ -253,18 +284,18 @@ def _solve_orbits(
         results = [_solve_one(t) for t in tasks]
 
     orbit_size = Counter(rep for rep, _g in orbits.values())
-    solved = {}
-    for q, (record, stats) in zip(reps, results):
-        solved[q] = record
+    solved = dict(zip(reps, results))
+    for q, record in solved.items():
         _log.debug(
-            "%s on %s: orbit of %d, %d nodes, %.3fs", kind.value, q, orbit_size[q], stats.nodes, stats.elapsed
+            "%s on %s: orbit of %d, %d nodes, %.3fs",
+            kind.value, q, orbit_size[q], record.stats.nodes, record.stats.elapsed,
         )
-    slowest_q, (_rec, slowest) = max(zip(reps, results), key=lambda item: item[1][1].elapsed)
+    slowest = max(results, key=lambda record: record.stats.elapsed)
     _log.info(
         "%s sweep to det %d: %d valid quotients, %d representatives solved, slowest %s (%.3fs), "
         "proof %d nodes in %.3fs",
-        kind.value, max_det, len(quots), len(reps), slowest_q, slowest.elapsed,
-        sum(stats.nodes for _rec, stats in results), sum(stats.proof_s for _rec, stats in results),
+        kind.value, max_det, len(quots), len(reps), slowest.quotient, slowest.stats.elapsed,
+        sum(r.stats.nodes for r in results), sum(r.stats.proof_s for r in results),
     )
     return quots, orbits, solved
 
@@ -288,6 +319,7 @@ def _carry_record(rec: DensityRecord, src: FiniteGraph, q: LatticeQuotient, g: L
         density=rec.density,
         witness=witness,
         validated_radius=rec.validated_radius,
+        stats=rec.stats,
     )
 
 
@@ -311,7 +343,7 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
     best = min(solved.values(), key=key)
     # canonical witness for the winner only; the sweep skips the lex pass.
     # The winner is already validated.
-    return _solve_quotient(kind, best.quotient, deterministic=True)[0]
+    return _solve_quotient(kind, best.quotient, deterministic=True)
 
 
 def f_fraction(q: LatticeQuotient) -> DensityRecord:
@@ -333,9 +365,9 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
     for q in quots:
         if orbits[q][0] != q:
             continue
-        g = build_quotient(q)
-        res = solve(g, ParamKind.F_OP_MAX, _roots=_orbit_roots(q, g))
-        if res.value == g.n:
+        roots = _orbit_roots(q)
+        res = solve(build_quotient(q), ParamKind.F_OP_MAX, _roots=roots)
+        if res.value == 3 * q.det:
             return DensityRecord(
                 kind=ParamKind.F_OP_MAX,
                 quotient=q,
@@ -344,6 +376,7 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
                 witness=res.witness,
                 validated_radius=2,
                 exact_cover=True,
+                stats=res.stats,
             )
     raise NoValidQuotientError(
         f"no exact open cover found on validated quotients with det <= {max_det}"
@@ -354,23 +387,44 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
 # independent verification on finite windows of the infinite lattice
 # ---------------------------------------------------------------------------
 
+@cache
+def _ball_offsets(cls: VClass, radius: int) -> tuple[tuple[int, int, int], ...]:
+    """(class, di, dj) of each member of the radius-ball of a class-``cls``
+    vertex, relative to the vertex: the ball of the class root."""
+    return tuple(tuple(y) for y in tb_ball(VertexAddr(cls, 0, 0), radius))
+
+
+def _interior(window: FiniteGraph, radius: int) -> list[int]:
+    """The vertices of a labeled window whose whole radius-ball in the
+    lattice is in the window: every offset of the vertex's class ball
+    (:func:`_ball_offsets`) lands on a window label."""
+    present = set(window.labels)
+    return [
+        k for k, (cls, i, j) in enumerate(window.labels)
+        if all((c, i + di, j + dj) in present for c, di, dj in _ball_offsets(cls, radius))
+    ]
+
+
 def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     """Tile the pattern over a parallelogram window and run the kind's
     definitional predicate on the window's interior: the vertices whose full
     validation ball lies inside the window, where the window graph's
-    adjacency is the lattice's."""
+    adjacency is the lattice's.
+
+    A window vertex is in the pattern when the quotient index of its orbit
+    (:meth:`LatticeQuotient.index`) is a witness vertex, and the interior
+    comes from a per-class table of ball offsets (:func:`_interior`), so no
+    quotient graph is built and no ball is searched per vertex.
+    """
     radius = record.validated_radius
     if min(window_r, window_s) < 2 * radius + 2:
         raise ValueError(f"window must be at least {2 * radius + 2} on each side")
     q = record.quotient
-    gq = build_quotient(q)
-    pattern = {gq.labels[v] for v in record.witness}
+    pattern = set(record._checked_witness())
 
     window = build_family(FamilySpec(FamilyKind.TBP, window_r, window_s))
-    lifted = frozenset(k for k, x in enumerate(window.labels) if q.reduce_addr(x) in pattern)
-    interior = [
-        k for k, x in enumerate(window.labels) if all(window.has_label(y) for y in tb_ball(x, radius))
-    ]
+    lifted = frozenset(k for k, (cls, i, j) in enumerate(window.labels) if q.index(cls, i, j) in pattern)
+    interior = _interior(window, radius)
     kind = record.kind
     if kind.minimizes:
         return _PREDICATES[kind](window, lifted, on=interior)

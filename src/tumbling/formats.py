@@ -55,12 +55,17 @@ def document_from_graph(g: FiniteGraph, source: Optional[dict] = None) -> GraphD
 
 
 def graph_from_document(doc: GraphDocument) -> FiniteGraph:
+    """The graph of a document; ParseError unless it is a simple graph whose
+    labels, if any, are strictly increasing and make it U-bipartite."""
     labels = None
     if doc.vertices and "cls" in doc.vertices[0]:
         labels = [
             VertexAddr(VClass[vr["cls"].upper()], vr["i"], vr["j"]) for vr in doc.vertices
         ]
-    return FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
+    try:
+        return FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
+    except ValueError as exc:
+        raise ParseError(f"graph document is not a valid graph: {exc}") from exc
 
 
 def graph_from_source(source: dict) -> FiniteGraph:
@@ -171,21 +176,47 @@ def parse_document(text: str) -> GraphDocument:
 
 
 def document_from_payload(payload) -> GraphDocument:
-    """The document of a JSON object written by :func:`to_payload`."""
+    """The document of a JSON object written by :func:`to_payload`.
+
+    Raises ParseError unless every vertex record is an object whose ``id``
+    is its position, all or none of them carry an address (``cls`` one of
+    w, u, v; integer ``i`` and ``j``), and every edge is a pair of vertex
+    ids.
+    """
     if not isinstance(payload, dict):
         raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != FORMAT_VERSION:
         raise ParseError(f"unsupported document format {payload.get('format')!r}")
-    vertices = []
-    for vr in payload["vertices"]:
+    records, pairs = payload.get("vertices"), payload.get("edges")
+    if type(records) is not list or type(pairs) is not list:
+        raise ParseError("a graph document's vertices and edges must be lists")
+    labeled = bool(records) and isinstance(records[0], dict) and "cls" in records[0]
+    vertices = tuple(_vertex_record(vr, k, labeled) for k, vr in enumerate(records))
+    n = len(vertices)
+    edges = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2 or any(type(x) is not int for x in pair):
+            raise ParseError(f"an edge is a pair of vertex ids, got {pair!r}")
+        a, b = pair
+        if not (0 <= a < n and 0 <= b < n):
+            raise ParseError(f"edge {a} {b} out of range for n={n}")
+        edges.append((a, b))
+    return GraphDocument(source=payload.get("source"), vertices=vertices, edges=tuple(sorted(edges)))
+
+
+def _vertex_record(vr, k: int, labeled: bool) -> dict:
+    """Vertex record ``k`` of a document, checked; with an address iff ``labeled``."""
+    if not isinstance(vr, dict) or type(vr.get("id")) is not int or vr["id"] != k:
+        raise ParseError(f"vertex record {k} must be an object with id {k}, got {vr!r}")
+    if not labeled:
         if "cls" in vr:
-            vertices.append(
-                {"id": int(vr["id"]), "cls": vr["cls"], "i": int(vr["i"]), "j": int(vr["j"])}
-            )
-        else:
-            vertices.append({"id": int(vr["id"])})
-    edges = tuple(sorted((int(a), int(b)) for a, b in payload["edges"]))
-    return GraphDocument(source=payload.get("source"), vertices=tuple(vertices), edges=edges)
+            raise ParseError(f"vertex record {k} has an address, but vertex 0 has none")
+        return {"id": k}
+    cls, i, j = vr.get("cls"), vr.get("i"), vr.get("j")
+    named = isinstance(cls, str) and cls.upper() in VClass.__members__
+    if not named or type(i) is not int or type(j) is not int:
+        raise ParseError(f"vertex record {k} needs cls w, u or v and integer i, j, got {vr!r}")
+    return {"id": k, "cls": cls, "i": i, "j": j}
 
 
 def load_document(path: str) -> GraphDocument:

@@ -15,8 +15,8 @@ class FiniteGraph:
     Adjacency lists are sorted and deduplicated; the graph is checked to be
     symmetric and loop-free at construction and is immutable afterwards, so
     instances are safe to share between threads.  ``labels``, when present,
-    maps each index to a lattice address and must be sorted in canonical
-    (cls, i, j) order.
+    maps each index to a lattice address and must be strictly increasing in
+    canonical (cls, i, j) order, so no two vertices share a label.
     """
 
     __slots__ = ("n", "adj", "labels", "_index_of", "_closed_masks", "_open_masks")
@@ -38,14 +38,15 @@ class FiniteGraph:
         if self.labels is not None:
             if len(self.labels) != n:
                 raise ValueError("labels length must equal vertex count")
-            if list(self.labels) != sorted(self.labels):
-                raise ValueError("labels must be sorted in canonical order")
+            if any(x >= y for x, y in zip(self.labels, self.labels[1:])):
+                raise ValueError("labels must be strictly increasing in canonical order")
             self._index_of = {lab: v for v, lab in enumerate(self.labels)}
             from .lattice import VClass
 
+            in_u = [lab.cls == VClass.U for lab in self.labels]
             for v in range(n):
                 for u in adj[v]:
-                    if (self.labels[v].cls == VClass.U) == (self.labels[u].cls == VClass.U):
+                    if in_u[v] == in_u[u]:
                         raise ValueError(
                             f"edge {self.labels[v]}-{self.labels[u]} does not join "
                             "the U class to the W/V class"

@@ -6,6 +6,13 @@ differ by a lattice vector.  Valid quotients are finite graphs with 3*det
 vertices and 6*det edges that model periodic patterns on the infinite graph:
 a vertex set on a quotient lifts to a periodic set with the same density.
 
+The orbit representatives are (cls, i, j) with 0 <= i < a and 0 <= j < d,
+in that order, so the orbit of any lattice vertex has the index
+``cls*det + i*d + j`` of its reduced coordinates
+(:meth:`LatticeQuotient.index`).  :func:`build_quotient` computes adjacency
+on these indices from a per-class table of neighbour offsets; no address
+object is made per vertex.
+
 ``validate_quotient`` checks the stronger soundness condition used by the
 density searches: every breadth-first ball of a given radius in the quotient
 must be isomorphic, via the canonical projection, to the corresponding ball
@@ -61,6 +68,11 @@ class LatticeQuotient:
         q, j = divmod(j, self.d)
         return (i - q * self.c) % self.a, j
 
+    def index(self, cls: int, i: int, j: int) -> int:
+        """Index of the orbit of (cls, i, j) in :func:`quotient_labels` order."""
+        i, j = self.reduce(i, j)
+        return cls * self.det + i * self.d + j
+
     def reduce_addr(self, addr: VertexAddr) -> VertexAddr:
         i, j = self.reduce(addr.i, addr.j)
         return VertexAddr(addr.cls, i, j)
@@ -70,33 +82,53 @@ class LatticeQuotient:
 
 
 def quotient_labels(q: LatticeQuotient) -> list[VertexAddr]:
-    """Canonical orbit representatives, sorted in (cls, i, j) order."""
-    return sorted(
+    """Canonical orbit representatives, sorted in (cls, i, j) order: the
+    label of index ``cls*det + i*d + j`` is (cls, i, j)."""
+    return [
         VertexAddr(cls, i, j)
         for cls in (VClass.W, VClass.U, VClass.V)
         for i in range(q.a)
         for j in range(q.d)
-    )
+    ]
+
+
+@cache
+def _neighbor_offsets(cls: VClass) -> tuple[tuple[int, int, int], ...]:
+    """(class, di, dj) of each neighbour of a vertex of class ``cls``, relative
+    to the vertex: the neighbours of the class root."""
+    return tuple(tuple(y) for y in tb_neighbors(VertexAddr(cls, 0, 0)))
 
 
 def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     """Quotient graph on the 3*det orbit representatives.
 
+    The neighbours of (cls, i, j) are (cls', i + di, j + dj) for the fixed
+    offsets of its class (:func:`_neighbor_offsets`), and each is mapped
+    straight to the index of its orbit (:meth:`LatticeQuotient.index`), so
+    adjacency is built on plain integers.
+
     Raises :class:`DegenerateQuotientError` when two infinite-lattice
     neighbors of some vertex fall into the same orbit (the quotient would
     need a parallel edge) or a neighbor falls onto the vertex itself.
     """
-    labels = quotient_labels(q)
-    index = {lab: k for k, lab in enumerate(labels)}
+    a, c, d, det = q.a, q.c, q.d, q.det
     adj = []
-    for lab in labels:
-        reduced = [q.reduce_addr(nb) for nb in tb_neighbors(lab)]
-        if len(set(reduced)) != len(reduced) or lab in reduced:
-            raise DegenerateQuotientError(
-                f"quotient {q} folds the neighborhood of {lab}"
-            )
-        adj.append([index[r] for r in reduced])
-    return FiniteGraph(adj, labels=labels)
+    for cls in (VClass.W, VClass.U, VClass.V):
+        offsets = _neighbor_offsets(cls)
+        for i in range(a):
+            for j in range(d):
+                reduced = []
+                for ncls, di, dj in offsets:
+                    # q.index(ncls, i + di, j + dj), inlined: this loop is hot
+                    k, jj = divmod(j + dj, d)
+                    reduced.append(ncls * det + (i + di - k * c) % a * d + jj)
+                here = len(adj)  # the index of (cls, i, j)
+                if len(set(reduced)) != len(reduced) or here in reduced:
+                    raise DegenerateQuotientError(
+                        f"quotient {q} folds the neighborhood of {VertexAddr(cls, i, j)}"
+                    )
+                adj.append(reduced)
+    return FiniteGraph(adj, labels=quotient_labels(q))
 
 
 def tb_ball(root: VertexAddr, radius: int) -> dict[VertexAddr, int]:
@@ -293,15 +325,21 @@ def induces_isomorphism(g: LatticeSymmetry, rep: LatticeQuotient, q: LatticeQuot
 
 @cache
 def _is_lattice_automorphism(g: LatticeSymmetry) -> bool:
-    """|det M| = 1, and g maps the neighbours of each class root ``w/u/v(0,0)``
-    onto the neighbours of the root's image.
+    """|det M| = 1, and g maps the neighbours of each class root onto the
+    neighbours of the root's image (:func:`maps_root_neighbors`).
 
     g acts on each class by x -> M*x + shift, and a vertex's neighbours are
     fixed offsets from it, so what holds at the roots holds at every vertex;
     |det M| = 1 makes g a bijection of the lattice.
     """
     m0, m1, m2, m3 = g.m
-    return abs(m0 * m3 - m1 * m2) == 1 and all(
-        {g.apply(y) for y in tb_neighbors(root)} == set(tb_neighbors(g.apply(root)))
+    return abs(m0 * m3 - m1 * m2) == 1 and maps_root_neighbors(g.apply)
+
+
+def maps_root_neighbors(f) -> bool:
+    """True iff the vertex map f carries the neighbours of each class root
+    ``w/u/v(0,0)`` onto the neighbours of the root's image."""
+    return all(
+        {f(y) for y in tb_neighbors(root)} == set(tb_neighbors(f(root)))
         for root in (VertexAddr(cls, 0, 0) for cls in VClass)
     )

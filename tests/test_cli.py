@@ -162,6 +162,18 @@ def test_density_emit_verify(capsys, tmp_path):
     assert "OK" in out
 
 
+def test_density_emit_carries_stats_that_verify_ignores(capsys, tmp_path):
+    rec = tmp_path / "density.json"
+    assert run(capsys, "density", "--param", "ld", "--max-det", "8", "--emit", str(rec))[0] == 0
+    payload = json.loads(rec.read_text())
+    stats = payload["stats"]
+    assert set(stats) == {"nodes", "elapsed", "proof_s", "canon_s", "canon_calls"}
+    assert stats["nodes"] > 0 and stats["canon_calls"] > 0
+    for bad in (None, "x", {"nodes": -1}):
+        code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "stats": bad})
+        assert (code, out) == (0, "OK\n")
+
+
 def _verify_payload(capsys, tmp_path, payload):
     rec = tmp_path / "rec.json"
     rec.write_text(json.dumps(payload))

@@ -22,8 +22,8 @@ from tumbling.density import (
     search,
     valid_quotients,
 )
-from tumbling.lattice import VClass
-from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits
+from tumbling.lattice import FamilyKind, FamilySpec, VClass, build_family
+from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits, tb_ball
 from tumbling.solvers import _PREDICATES, InfeasibleError, ParamKind, _packing_value, verify_witness
 
 
@@ -385,7 +385,7 @@ def test_orbital_solve_matches_plain_solve(kind):
     assert reps
     for q in reps:
         plain = _value_or_infeasible(lambda: solve(build_quotient(q), kind, deterministic=False).value)
-        orbital = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False)[0].size)
+        orbital = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False).size)
         assert orbital == plain, (kind, q)
 
 
@@ -403,7 +403,7 @@ def test_orbital_solve_reproduces_the_canonical_fixture():
         q = LatticeQuotient(*(int(x) for x in entry["graph"][2:-1].split(",")))
         kind = ParamKind(entry["kind"])
         try:
-            rec = density_mod._solve_quotient(kind, q, deterministic=True)[0]
+            rec = density_mod._solve_quotient(kind, q, deterministic=True)
         except InfeasibleError:
             assert entry.get("infeasible"), entry
             continue
@@ -423,7 +423,7 @@ def test_orbital_solve_matches_brute_force():
             continue
         for kind in ParamKind:
             ref = _value_or_infeasible(lambda: brute_force(g, kind).value)
-            got = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False)[0].size)
+            got = _value_or_infeasible(lambda: density_mod._solve_quotient(kind, q, False).size)
             assert got == ref, (kind, q)
             checked += 1
     assert checked == 7 * 17  # every kind on the 17 quotients that build
@@ -437,15 +437,25 @@ def _broken_half_turn_group():
     return POINT_GROUP[:3] + (rot._replace(w_shift=(0, 0)),) + POINT_GROUP[4:]
 
 
+def _record_solves(monkeypatch) -> list:
+    solved = []
+    monkeypatch.setattr(density_mod, "solve", lambda *args, **kwargs: solved.append(args))
+    return solved
+
+
 def test_sweep_raises_on_a_broken_half_turn(monkeypatch):
+    solved = _record_solves(monkeypatch)
     monkeypatch.setattr(quotient_mod, "POINT_GROUP", _broken_half_turn_group())
     with pytest.raises(RuntimeError, match=r"rotation .* is not an automorphism of quotient"):
         density_sweep(ParamKind.LD, 9, threads=1)
+    assert solved == []
 
 
 def test_sweep_raises_on_a_broken_translation(monkeypatch):
+    solved = _record_solves(monkeypatch)
     real_shift = density_mod._shift
-    # a translation that moves only the W class
+    # a translation that moves only the W class: the arithmetic certificate
+    # finds that it does not map the neighbours of w(0,0) onto those of w(1,0)
     monkeypatch.setattr(
         density_mod, "_shift", lambda di, dj: lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
     )
@@ -453,3 +463,51 @@ def test_sweep_raises_on_a_broken_translation(monkeypatch):
         density_sweep(ParamKind.GAMMA, 8, threads=1)
     with pytest.raises(RuntimeError, match="translation"):
         perfect_open_pattern(9)
+    assert solved == []
+
+
+def _ball_search_interior(window, radius):
+    """The interior as it was found before the offset tables: a lattice ball
+    search from every window vertex."""
+    return [
+        k for k, x in enumerate(window.labels) if all(window.has_label(y) for y in tb_ball(x, radius))
+    ]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_lift_interior_matches_ball_search(radius):
+    for r in range(6, 14):
+        for s in (r, 19 - r):
+            window = build_family(FamilySpec(FamilyKind.TBP, r, s))
+            interior = density_mod._interior(window, radius)
+            assert interior == _ball_search_interior(window, radius), (r, s)
+            assert interior  # nonempty: the check has something to check
+
+
+def test_lift_check_and_witness_addresses_build_no_quotient_graph(monkeypatch):
+    rec = min_density(ParamKind.LD, LatticeQuotient(3, 0, 3))
+    labels = build_quotient(rec.quotient).labels
+    monkeypatch.setattr(density_mod, "build_quotient", lambda q: pytest.fail(f"built {q}"))
+    assert lift_check(rec, 12, 12)
+    assert rec.witness_addresses() == tuple(labels[v] for v in rec.witness)
+
+
+@pytest.mark.parametrize("bad", [-1, 30, 999])
+def test_lift_check_and_witness_addresses_reject_a_vertex_outside_the_quotient(bad):
+    rec = min_density(ParamKind.GAMMA, LatticeQuotient(2, 0, 5))  # 30 vertices
+    broken = replace(rec, witness=rec.witness + (bad,))
+    with pytest.raises(ValueError, match="names a vertex outside"):
+        lift_check(broken, 12, 12)
+    with pytest.raises(ValueError, match="names a vertex outside"):
+        broken.witness_addresses()
+
+
+def test_records_carry_their_solve_stats():
+    rec = min_density(ParamKind.GAMMA, LatticeQuotient(2, 0, 5))
+    assert rec.stats.nodes > 0 and rec.stats.proof_s > 0
+    # stats take no part in comparison or hashing
+    other = replace(rec, stats=None)
+    assert other == rec and hash(other) == hash(rec)
+    assert search(ParamKind.GAMMA, 8, threads=1).stats is not None
+    assert perfect_open_pattern(9).stats is not None
+    assert all(r.stats is not None for r in density_sweep(ParamKind.GAMMA, 8, threads=1))

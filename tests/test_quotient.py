@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from tumbling.graph import bipartition
+from tumbling.graph import FiniteGraph, bipartition
 from tumbling.lattice import VClass, VertexAddr, tb_neighbors
 from tumbling.quotient import (
     POINT_GROUP,
@@ -16,6 +16,7 @@ from tumbling.quotient import (
     build_quotient,
     enumerate_hnf,
     induces_isomorphism,
+    quotient_labels,
     quotient_orbits,
     tb_ball,
     validate_quotient,
@@ -403,3 +404,106 @@ def test_generators_preserve_the_requirement_sets():
                 assert image == reqs, (kind, q)
             checked += 1
     assert checked == 306  # feasible (kind, quotient) pairs
+
+
+# ---------------------------------------------------------------------------
+# the index-arithmetic quotient layer against label-based references
+# ---------------------------------------------------------------------------
+
+def _label_built_quotient(q):
+    """The quotient graph built the way it was before index arithmetic: an
+    address per vertex, ``reduce_addr`` on each of its lattice neighbours,
+    and a label -> index dict."""
+    labels = sorted(VertexAddr(cls, i, j) for cls in VClass for i in range(q.a) for j in range(q.d))
+    index = {lab: k for k, lab in enumerate(labels)}
+    adj = []
+    for lab in labels:
+        reduced = [q.reduce_addr(nb) for nb in tb_neighbors(lab)]
+        if len(set(reduced)) != len(reduced) or lab in reduced:
+            raise DegenerateQuotientError(f"quotient {q} folds the neighborhood of {lab}")
+        adj.append([index[r] for r in reduced])
+    return FiniteGraph(adj, labels=labels)
+
+
+def _built(build, q):
+    """Adjacency and labels of build(q), or the message it raises."""
+    try:
+        g = build(q)
+    except DegenerateQuotientError as exc:
+        return str(exc)
+    return g.adj, g.labels
+
+
+def test_build_quotient_matches_the_label_based_reference():
+    quots = enumerate_hnf(24)
+    assert len(quots) == 491
+    raised = 0
+    for q in quots:
+        ref = _built(_label_built_quotient, q)
+        assert _built(build_quotient, q) == ref, q
+        raised += isinstance(ref, str)
+    assert raised == 70
+
+
+def test_index_names_the_reduced_label():
+    rng = random.Random(8)
+    for q in enumerate_hnf(12):
+        labels = quotient_labels(q)
+        for _ in range(20):
+            x = VertexAddr(rng.choice(list(VClass)), rng.randint(-30, 30), rng.randint(-30, 30))
+            assert labels[q.index(*x)] == q.reduce_addr(x)
+
+
+def _root_certificate(q) -> bool:
+    """Whether the arithmetic certificate behind orbital branching passes."""
+    from tumbling.density import _orbit_roots
+
+    try:
+        _orbit_roots(q)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _root_maps_on_the_built_graph(q, shift, half_turn) -> bool:
+    """The same three facts checked on the built graph: both translations and
+    the half turn are automorphisms, and the half turn maps W onto V."""
+    g = build_quotient(q)
+    phi = [_automorphism(q, g, f) for f in (shift(1, 0), shift(0, 1), half_turn.apply)]
+    det = q.det
+    return all(p is not None for p in phi) and sorted(phi[2][:det]) == list(range(2 * det, 3 * det))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_root_certificate_agrees_with_the_built_graphs(radius, monkeypatch):
+    """On every valid quotient with det <= 24, the arithmetic certificate of
+    the root symmetries and the graph-level checks both pass for the true
+    maps.  Both reject a translation that moves only W, and a half turn with
+    its W shift dropped or without its class swap, except that on the
+    9-vertex q(3,2,1) the two broken maps happen to be automorphisms of the
+    graph; the certificate, which asks for a lattice automorphism, still
+    rejects them there."""
+    import tumbling.density as density_mod
+    import tumbling.quotient as quotient_mod
+
+    quots = [q for q in enumerate_hnf(24) if validate_quotient(q, radius)]
+    assert len(quots) == {1: 421, 2: 296}[radius]
+    real_shift = density_mod._shift
+
+    def w_only(di, dj):
+        return lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
+
+    rot = POINT_GROUP[3]
+    small = {1: [LatticeQuotient(3, 2, 1)], 2: []}[radius]
+    variants = [
+        (real_shift, rot, quots),
+        (w_only, rot, small),
+        (real_shift, rot._replace(w_shift=(0, 0)), small),
+        (real_shift, rot._replace(swap=False), []),
+    ]
+    for shift, half_turn, graph_passes in variants:
+        monkeypatch.setattr(density_mod, "_shift", shift)
+        monkeypatch.setattr(quotient_mod, "POINT_GROUP", POINT_GROUP[:3] + (half_turn,) + POINT_GROUP[4:])
+        certified = [q for q in quots if _root_certificate(q)]
+        assert certified == (quots if half_turn == rot and shift is real_shift else []), half_turn
+        assert [q for q in quots if _root_maps_on_the_built_graph(q, shift, half_turn)] == graph_passes

@@ -4,8 +4,10 @@ never a traceback, and quickly.
 The records start as what ``tb solve``, ``tb density`` and ``tb hamilton``
 emit.  Mutations touch the record's own fields: a deleted key, a field of
 another JSON type, huge or negative integers, out-of-range vertices, an
-unknown ``type``.  The embedded graph document is replaced whole at most,
-never edited inside, because its size is not capped yet.
+unknown ``type``.  They also edit inside the graph document of solve and cut
+records: its keys, its vertex records and their fields, its edges, and
+labels shared by two vertices.  A document's vertex and edge counts are
+capped, so no edit makes verification slow.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import time
 
 import pytest
 
-from tumbling.cli import main
+from tumbling.cli import MAX_RECORD_VERTICES, main
 
 SEED = 20261018
 HUGE = 10**30
@@ -130,3 +132,119 @@ def test_named_mutations(records, tmp_path, rtype, field, bad, expected):
     assert code == expected
     if code == 2 and field != "quotient":
         assert f"record field {field!r}" in err
+
+
+# ---------------------------------------------------------------------------
+# edits inside the graph document of solve and cut records
+# ---------------------------------------------------------------------------
+
+#: edges that name no pair of vertices, or a loop
+BAD_EDGES = [[0, 999], [0, 10**6], [-1, 0], [0, 0], [0], [0, 1, 2], [HUGE, 0], ["0", 1], [True, 1]]
+
+
+#: a value for _setter that deletes the key instead
+DELETE = object()
+
+
+def _with_graph(payload, edit):
+    """A copy of the record whose graph document has had ``edit`` applied."""
+    payload = copy.deepcopy(payload)
+    edit(payload["graph"])
+    return payload
+
+
+def _setter(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to value, or deletes the
+    last key when value is DELETE."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = copy.deepcopy(value)
+
+    return edit
+
+
+def _share_label(doc):
+    """Give vertex 1 the address of vertex 0."""
+    doc["vertices"][1].update({k: doc["vertices"][0][k] for k in ("cls", "i", "j")})
+
+
+def _graph_edits(doc):
+    """Edits of one graph document: every key deleted or replaced, vertex
+    records and their fields deleted or replaced, edges spoiled, a label
+    shared, and a vertex or an edge appended."""
+    edits = []
+    for key in doc:
+        edits += [_setter([key], bad) for bad in [DELETE, *REPLACEMENTS]]
+    vertices, edges = doc["vertices"], doc["edges"]
+    for pos in (0, 1, len(vertices) - 1):
+        edits += [_setter(["vertices", pos], bad) for bad in REPLACEMENTS]
+        for field in vertices[pos]:
+            edits += [_setter(["vertices", pos, field], bad) for bad in [DELETE, *REPLACEMENTS]]
+    for pos in (0, len(edges) - 1):
+        edits += [_setter(["edges", pos], bad) for bad in [*REPLACEMENTS, *BAD_EDGES]]
+    edits.append(_share_label)
+    edits.append(lambda doc: doc["vertices"].append({**doc["vertices"][-1], "id": len(doc["vertices"])}))
+    edits.append(lambda doc: doc["edges"].append(list(doc["edges"][0])))
+    return edits
+
+
+def test_edited_graph_documents_exit_cleanly(records, tmp_path):
+    rng = random.Random(SEED)
+    codes = []
+    for rtype in ("solve", "cut"):
+        payload = records[rtype]
+        edits = _graph_edits(payload["graph"])
+        cases = [_with_graph(payload, edit) for edit in edits]
+        doubles = 0
+        while doubles < 60:
+            first, second = rng.sample(edits, 2)
+            try:
+                cases.append(_with_graph(_with_graph(payload, first), second))
+            except (TypeError, KeyError, IndexError, AttributeError):
+                continue  # the first edit removed what the second one edits
+            doubles += 1
+        codes += [_verify(tmp_path, case)[0] for case in cases]
+    assert len(codes) > 500
+    assert set(codes) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("rtype, edit, message", [
+    ("solve", _setter(["edges", 0], [0, 999]), "out of range"),
+    ("cut", _setter(["edges", 0], [-1, 0]), "out of range"),
+    ("solve", _setter(["edges"], 5), "must be lists"),
+    ("solve", _setter(["vertices", 0, "cls"], 3), "needs cls w, u or v"),
+    ("solve", _setter(["vertices", 1, "i"], "1"), "needs cls w, u or v"),
+    ("solve", _setter(["vertices", 2], 7), "vertex record 2"),
+    ("solve", _setter(["vertices", 2, "id"], 5), "vertex record 2"),
+    ("solve", _setter(["vertices", 0, "cls"], DELETE), "has an address"),
+    ("solve", _setter(["vertices", 1, "cls"], DELETE), "needs cls w, u or v"),
+    ("solve", _setter(["edges", 0], [1, 1]), "loop"),
+    ("solve", _share_label, "strictly increasing"),
+    ("cut", _share_label, "strictly increasing"),
+])
+def test_named_graph_edits_are_parse_errors(records, tmp_path, rtype, edit, message):
+    code, err = _verify(tmp_path, _with_graph(records[rtype], edit))
+    assert code == 2
+    assert message in err
+
+
+def test_a_graph_over_the_cap_is_a_parse_error_quickly(records, tmp_path):
+    n = MAX_RECORD_VERTICES + 1
+    payload = _with_graph(records["solve"], _setter(["vertices"], [{"id": k} for k in range(n)]))
+    code, err = _verify(tmp_path, {**payload, "witness": []})
+    assert code == 2
+    assert "at most" in err
+
+
+def test_emit_refuses_a_graph_over_the_cap(tmp_path):
+    path = tmp_path / "big.json"
+    # tbp(40, 40) has 4960 vertices, more than a record may hold
+    code, _out, err = _run(["hamilton", "--family", "tbp", "--rows", "40", "--cols", "40",
+                            "--cut", "4,4", "--emit", str(path)])
+    assert code == 2 and "--emit" in err
+    assert not path.exists()
