@@ -46,6 +46,42 @@ cdef object _from_words(u64 *words, int nw):
 # minimum hitting set
 # ---------------------------------------------------------------------------
 
+cdef bint _tight_branch(u64 *reqs, int m, int n, int nw, u64 *chosen, u64 *used,
+                       u64 *branch, u64 *local_banned):
+    """A packing with no slack, of union ``used``: a small enough set takes
+    one vertex from each packed requirement, so ban every vertex outside
+    ``used`` and put the narrowest unhit requirement restricted to ``used``
+    in ``branch`` (the first in scan order among equals).  Returns False
+    when some unhit requirement has no candidate in ``used``."""
+    cdef u64 cand[MAXW]
+    cdef u64 *rp
+    cdef int r, w, width, hit
+    cdef int branch_width = n + 1
+    for w in range(nw):
+        local_banned[w] = ~used[w]
+    if n & 63:
+        local_banned[nw - 1] &= ((<u64>1) << (n & 63)) - 1
+    for r in range(m):
+        rp = reqs + r * nw
+        hit = 0
+        for w in range(nw):
+            if rp[w] & chosen[w]:
+                hit = 1
+                break
+        if hit:
+            continue
+        width = 0
+        for w in range(nw):
+            cand[w] = rp[w] & used[w]
+            width += popc64(cand[w])
+        if width == 0:
+            return False
+        if width < branch_width:
+            branch_width = width
+            memcpy(branch, cand, nw * sizeof(u64))
+    return True
+
+
 cdef struct CoverCtx:
     int n, nw, m
     u64 *reqs
@@ -100,6 +136,9 @@ cdef void _cover_rec(CoverCtx *ctx, u64 *chosen, int count, u64 *banned):
     if count + lb >= ctx.best:
         return
     memcpy(local_banned, banned, nw * sizeof(u64))
+    if count + lb + 1 == ctx.best:
+        if not _tight_branch(ctx.reqs, ctx.m, ctx.n, nw, chosen, used, branch, local_banned):
+            return
     for w in range(nw):
         while branch[w]:
             low = branch[w] & (~branch[w] + 1)
@@ -205,6 +244,9 @@ cdef bint _cover_feas_rec(FeasCtx *ctx, u64 *chosen, int count, u64 *banned):
     if count + lb > ctx.limit:
         return False
     memcpy(local_banned, banned, nw * sizeof(u64))
+    if count + lb == ctx.limit:
+        if not _tight_branch(ctx.reqs, ctx.m, ctx.n, nw, chosen, used, branch, local_banned):
+            return False
     for w in range(nw):
         while branch[w]:
             low = branch[w] & (~branch[w] + 1)

@@ -20,6 +20,20 @@ The requirement list reaches the cover kernels already dominance-filtered
 and in scan order (``solvers`` filters it once per solve); the kernels do
 not filter again.
 
+At each node the cover kernels bound the vertices still needed from below
+by a greedy packing: ``lb`` unhit requirements whose candidate sets are
+pairwise disjoint, with union ``used``.  When that bound leaves no slack
+(``count + lb + 1`` equals the incumbent in ``solve_cover``, ``count + lb``
+equals ``limit`` in ``cover_feasible``), any set the subtree still wants
+adds exactly ``lb`` vertices, one in each packed requirement, so none
+outside ``used``.  The node then restricts every unhit requirement to
+``used``, which bans every vertex outside it for the whole subtree, closes
+at once if some requirement has no candidate left, and otherwise branches
+on the narrowest restricted requirement.  The rule removes only subtrees
+that hold no smaller (or no feasible) set, so optima, infeasibility
+verdicts and canonical witnesses are those of the plain search; node
+counts, and the optimizing kernel's witness among equal optima, may differ.
+
 The optimizing kernels take ``roots``, a sequence of ``(forced, banned)``
 vertex masks: start nodes searched in turn against one shared incumbent.
 They return the optimum over the sets S with ``forced <= S`` and
@@ -72,6 +86,26 @@ def _greedy_cover(masks: list[int], forced: int, banned: int) -> int | None:
     return chosen
 
 
+def _tight(unhit: list[int], used: int) -> tuple[list[int], int]:
+    """Restrict each unhit candidate set to ``used``, the union of a packing
+    that leaves no slack.  Returns the restricted sets and the narrowest of
+    them to branch on (the first in scan order among equals), or a branch of
+    0 when some set has no candidate in ``used``, which closes the node."""
+    restricted = []
+    branch_req = 0
+    branch_width = used.bit_count() + 1
+    for m in unhit:
+        cand = m & used
+        if cand == 0:
+            return restricted, 0
+        restricted.append(cand)
+        width = cand.bit_count()
+        if width < branch_width:
+            branch_width = width
+            branch_req = cand
+    return restricted, branch_req
+
+
 def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int, int, int]:
     """Minimum hitting set of the requirement masks among the sets that meet
     some root's constraints.
@@ -122,6 +156,12 @@ def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int
             return
         if count + lb >= best[0]:
             return
+        if count + lb + 1 == best[0]:
+            # tight packing (module docstring): the children see only the
+            # restricted sets, so no vertex outside used enters the subtree
+            unhit, branch_req = _tight(unhit, used)
+            if not branch_req:
+                return
         cand = branch_req
         while cand:
             low = cand & -cand
@@ -174,6 +214,12 @@ def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: in
             return chosen
         if count + lb > limit:
             return None
+        if count + lb == limit:
+            # tight packing (module docstring): the children see only the
+            # restricted sets, so no vertex outside used enters the subtree
+            unhit, branch_req = _tight(unhit, used)
+            if not branch_req:
+                return None
         cand = branch_req
         while cand:
             low = cand & -cand

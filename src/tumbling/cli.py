@@ -208,6 +208,7 @@ def cmd_solve(args) -> int:
                 "graph": to_payload(doc),
                 "value": result.value,
                 "witness": list(result.witness),
+                "stats": asdict(result.stats),
             },
             args.emit,
         )

@@ -38,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import quotient
 from .graph import FiniteGraph
@@ -175,13 +176,14 @@ def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
     translation moves every class by the same offset, so it commutes with
     the sublattice, and it is an automorphism of every quotient once it maps
     the neighbours of each class root onto those of the root's image
-    (:func:`tumbling.quotient.maps_root_neighbors`).  The rotation is
+    (:func:`tumbling.quotient.maps_root_neighbors`); that certificate does
+    not depend on ``q`` and is cached.  The rotation is
     certified by :func:`tumbling.quotient.induces_isomorphism`, and its
     ``swap`` flag carries W onto V.  Raises RuntimeError if a certificate
     fails.
     """
-    for name, f in (("translation (1,0)", _shift(1, 0)), ("translation (0,1)", _shift(0, 1))):
-        if not maps_root_neighbors(f):
+    for name, f in (("translation (1,0)", _Shift(1, 0)), ("translation (0,1)", _Shift(0, 1))):
+        if not _is_translation_automorphism(f):
             raise RuntimeError(f"{name} is not an automorphism of quotient {q}")
     half_turn = quotient.POINT_GROUP[3]
     if not induces_isomorphism(half_turn, q, q):
@@ -193,9 +195,22 @@ def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
     return ((1, 0), (1 << det, w_block | w_block << 2 * det))
 
 
-def _shift(di: int, dj: int):
-    """The block translation x -> x + (di, dj)."""
-    return lambda x: VertexAddr(x.cls, x.i + di, x.j + dj)
+class _Shift(NamedTuple):
+    """The block translation x -> x + (di, dj), hashed by value."""
+
+    di: int
+    dj: int
+
+    def __call__(self, x: VertexAddr) -> VertexAddr:
+        return VertexAddr(x.cls, x.i + self.di, x.j + self.dj)
+
+
+@cache
+def _is_translation_automorphism(f) -> bool:
+    """:func:`tumbling.quotient.maps_root_neighbors` of a translation, which
+    does not depend on the quotient, so each ``_Shift`` value is certified
+    once per process."""
+    return maps_root_neighbors(f)
 
 
 def _solve_one(args):

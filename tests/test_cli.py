@@ -162,9 +162,9 @@ def test_density_emit_verify(capsys, tmp_path):
     assert "OK" in out
 
 
-def test_density_emit_carries_stats_that_verify_ignores(capsys, tmp_path):
-    rec = tmp_path / "density.json"
-    assert run(capsys, "density", "--param", "ld", "--max-det", "8", "--emit", str(rec))[0] == 0
+def _assert_emitted_stats_are_ignored(capsys, tmp_path, *argv):
+    rec = tmp_path / "emitted.json"
+    assert run(capsys, *argv, "--emit", str(rec))[0] == 0
     payload = json.loads(rec.read_text())
     stats = payload["stats"]
     assert set(stats) == {"nodes", "elapsed", "proof_s", "canon_s", "canon_calls"}
@@ -172,6 +172,15 @@ def test_density_emit_carries_stats_that_verify_ignores(capsys, tmp_path):
     for bad in (None, "x", {"nodes": -1}):
         code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "stats": bad})
         assert (code, out) == (0, "OK\n")
+
+
+def test_density_emit_carries_stats_that_verify_ignores(capsys, tmp_path):
+    _assert_emitted_stats_are_ignored(capsys, tmp_path, "density", "--param", "ld", "--max-det", "8")
+
+
+def test_solve_emit_carries_stats_that_verify_ignores(capsys, tmp_path):
+    argv = ("solve", "--family", "tbt", "--rows", "2", "--param", "ld")
+    _assert_emitted_stats_are_ignored(capsys, tmp_path, *argv)
 
 
 def _verify_payload(capsys, tmp_path, payload):

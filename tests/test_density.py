@@ -389,6 +389,20 @@ def test_orbital_solve_matches_plain_solve(kind):
         assert orbital == plain, (kind, q)
 
 
+#: proof nodes of the det <= 12 sweeps, summed over the representatives.
+#: Before tight-packing fixing in the cover kernels: LD 12,595, IC 19,978,
+#: OLD 45,929.
+SWEEP_12_NODES = {ParamKind.LD: 6_316, ParamKind.IC: 10_575, ParamKind.OLD: 16_036}
+
+
+@pytest.mark.parametrize("kind", list(SWEEP_12_NODES), ids=lambda k: k.value)
+def test_sweep_proof_nodes_are_pinned(kind):
+    """Node counts do not depend on the machine, so a lost prune shows here
+    as a count, not only as seconds."""
+    _quots, _orbits, solved = density_mod._solve_orbits(kind, 12, threads=1, deterministic=False)
+    assert sum(rec.stats.nodes for rec in solved.values()) == SWEEP_12_NODES[kind]
+
+
 def test_orbital_solve_reproduces_the_canonical_fixture():
     """The canonical pass does not depend on which optimum the proof found:
     every quotient case of tests/data/canonical_witnesses.json gets the
@@ -453,17 +467,26 @@ def test_sweep_raises_on_a_broken_half_turn(monkeypatch):
 
 def test_sweep_raises_on_a_broken_translation(monkeypatch):
     solved = _record_solves(monkeypatch)
-    real_shift = density_mod._shift
+    real_shift = density_mod._Shift
     # a translation that moves only the W class: the arithmetic certificate
     # finds that it does not map the neighbours of w(0,0) onto those of w(1,0)
     monkeypatch.setattr(
-        density_mod, "_shift", lambda di, dj: lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
+        density_mod, "_Shift", lambda di, dj: lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
     )
     with pytest.raises(RuntimeError, match=r"translation \(1,0\) is not an automorphism of quotient"):
         density_sweep(ParamKind.GAMMA, 8, threads=1)
     with pytest.raises(RuntimeError, match="translation"):
         perfect_open_pattern(9)
     assert solved == []
+
+
+def test_translations_are_certified_once_per_process(monkeypatch):
+    real = density_mod.maps_root_neighbors
+    certified = []
+    monkeypatch.setattr(density_mod, "maps_root_neighbors", lambda f: certified.append(f) or real(f))
+    density_mod._is_translation_automorphism.cache_clear()
+    search(ParamKind.GAMMA, 10, threads=1)
+    assert sorted(certified) == [(0, 1), (1, 0)]
 
 
 def _ball_search_interior(window, radius):

@@ -488,7 +488,7 @@ def test_root_certificate_agrees_with_the_built_graphs(radius, monkeypatch):
 
     quots = [q for q in enumerate_hnf(24) if validate_quotient(q, radius)]
     assert len(quots) == {1: 421, 2: 296}[radius]
-    real_shift = density_mod._shift
+    real_shift = density_mod._Shift
 
     def w_only(di, dj):
         return lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
@@ -502,7 +502,7 @@ def test_root_certificate_agrees_with_the_built_graphs(radius, monkeypatch):
         (real_shift, rot._replace(swap=False), []),
     ]
     for shift, half_turn, graph_passes in variants:
-        monkeypatch.setattr(density_mod, "_shift", shift)
+        monkeypatch.setattr(density_mod, "_Shift", shift)
         monkeypatch.setattr(quotient_mod, "POINT_GROUP", POINT_GROUP[:3] + (half_turn,) + POINT_GROUP[4:])
         certified = [q for q in quots if _root_certificate(q)]
         assert certified == (quots if half_turn == rot and shift is real_shift else []), half_turn

@@ -247,6 +247,30 @@ def test_kernel_word_boundary_consistency(kernel, g):
     assert kernel.cover_feasible(n, reqs, 0, 0, opt - 1) is None
 
 
+#: the code numbers of the cycle C_n (n >= 7): LD ceil(2n/5); IC n/2 for even
+#: n and (n+3)/2 for odd n; OLD ceil(2n/3)
+CYCLE_CODE_OPTIMA = {
+    ParamKind.LD: lambda n: -(-2 * n // 5),
+    ParamKind.IC: lambda n: n // 2 if n % 2 == 0 else (n + 3) // 2,
+    ParamKind.OLD: lambda n: -(-2 * n // 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(CYCLE_CODE_OPTIMA), ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [31, 32, 33])
+def test_code_kernels_across_the_word_boundary(kernel, kind, n):
+    """LD, IC and OLD on C31..C33: the optimizing kernel finds the known
+    optimum, and the feasibility kernel finds a set at the optimum and none
+    below it, where the packing bound is tight at the root."""
+    reqs = _dominance_filter(_cover_requirements(cycle(n), kind))
+    opt, wit, _nodes = kernel.solve_cover(n, reqs)
+    assert opt == CYCLE_CODE_OPTIMA[kind](n) == _kernels_py.solve_cover(n, reqs)[0]
+    assert wit.bit_count() == opt and all(m & wit for m in reqs)
+    found = kernel.cover_feasible(n, reqs, 0, 0, opt)
+    assert found is not None and _meets_cover(found, reqs, 0, 0, opt)
+    assert kernel.cover_feasible(n, reqs, 0, 0, opt - 1) is None
+
+
 def _quadratic_dominance_filter(masks):
     """The dominance filter as first written: each mask against every kept one."""
     masks = sorted(set(masks), key=lambda m: m.bit_count())
@@ -397,12 +421,16 @@ def test_feasibility_kernel_contract(kernel, k1):
             forced = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
             banned = rng.getrandbits(n) & rng.getrandbits(n) & ~(forced if rng.random() < 0.9 else 0)
             reqs = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
-            limit = rng.randint(0, n)
-            found = kernel.cover_feasible(n, reqs, forced, banned, limit)
-            exists = any(_meets_cover(s, reqs, forced, banned, limit) for s in subsets)
-            assert (found is not None) == exists, (trial, reqs, forced, banned, limit)
-            if found is not None:
-                assert type(found) is int and _meets_cover(found, reqs, forced, banned, limit)
+            sizes = [s.bit_count() for s in subsets if _meets_cover(s, reqs, forced, banned, n)]
+            # a random limit, and the optimum and one below it, where the
+            # root's packing bound can leave no slack
+            limits = [rng.randint(0, n)] + ([min(sizes), min(sizes) - 1] if sizes else [])
+            for limit in limits:
+                found = kernel.cover_feasible(n, reqs, forced, banned, limit)
+                exists = any(size <= limit for size in sizes)
+                assert (found is not None) == exists, (trial, reqs, forced, banned, limit)
+                if found is not None:
+                    assert type(found) is int and _meets_cover(found, reqs, forced, banned, limit)
 
             cov = list(g.closed_masks() if rng.random() < 0.5 else g.open_masks())
             target = rng.randint(0, n)
@@ -449,9 +477,14 @@ def _roots_cases():
         yield n, reqs, cov, roots
 
 
-#: sha256 of repr([(solve_cover(n, reqs), solve_pack(n, cov)) for each case
-#: of _roots_cases()]) as the kernels returned them before they took roots.
-PLAIN_SEARCH_DIGEST = "7be99a289d75c6316368e1d90789c1cb005173bf62593d15d013b8b233698950"
+#: sha256 of repr([(solve_cover(n, reqs)[:2], solve_pack(n, cov)[:2]) for
+#: each case of _roots_cases()]): the (value, witness) pairs the kernels
+#: returned before they took roots.  Node counts are left out, since an exact
+#: pruning rule changes them and nothing else.
+PLAIN_SEARCH_DIGEST = "f1917d05ac407cd3559b9d2620fac36abd2c20ca5050e58355d2ea8b08176531"
+#: solve_cover nodes summed over those plain searches before the tight-packing
+#: rule; the rule brings them to 249
+PLAIN_COVER_NODES = 344
 
 
 def test_optimizing_kernel_roots_contract(kernel):
@@ -461,6 +494,7 @@ def test_optimizing_kernel_roots_contract(kernel):
     import hashlib
 
     plain = []
+    cover_nodes = 0
     for n, reqs, cov, roots in _roots_cases():
         covers = [s.bit_count() for s in range(1 << n) if all(m & s for m in reqs) and _meets_root(s, roots)]
         if covers:
@@ -481,9 +515,12 @@ def test_optimizing_kernel_roots_contract(kernel):
             with pytest.raises(ValueError):
                 kernel.solve_pack(n, cov, roots)
 
-        plain.append((kernel.solve_cover(n, reqs), kernel.solve_pack(n, cov)))
-        assert plain[-1] == (kernel.solve_cover(n, reqs, ((0, 0),)), kernel.solve_pack(n, cov, [(0, 0)]))
+        cover, pack = kernel.solve_cover(n, reqs), kernel.solve_pack(n, cov)
+        assert (cover, pack) == (kernel.solve_cover(n, reqs, ((0, 0),)), kernel.solve_pack(n, cov, [(0, 0)]))
+        plain.append((cover[:2], pack[:2]))
+        cover_nodes += cover[2]
     assert hashlib.sha256(repr(plain).encode()).hexdigest() == PLAIN_SEARCH_DIGEST
+    assert cover_nodes <= PLAIN_COVER_NODES
 
 
 def test_kernels_for_logs_fallback(monkeypatch, caplog):

@@ -50,6 +50,8 @@ def records(tmp_path_factory):
         assert _run([*argv, "--emit", str(path)])[0] == 0
         out[rtype] = json.loads(path.read_text())
         assert out[rtype]["type"] == rtype
+    # the stats key, which verify ignores, is among the fields mutated
+    assert "stats" in out["solve"] and "stats" in out["density"]
     return out
 
 
@@ -121,6 +123,9 @@ class First(int):
     ("density", "size", -HUGE, 1),
     ("density", "quotient", [HUGE, 0, 1], 2),
     ("density", "validated_radius", HUGE, 1),
+    ("solve", "stats", None, 0),
+    ("solve", "stats", {"nodes": -HUGE}, 0),
+    ("density", "stats", "x", 0),
 ])
 def test_named_mutations(records, tmp_path, rtype, field, bad, expected):
     payload = copy.deepcopy(records[rtype])
