@@ -1,28 +1,5 @@
-"""Build script: compiles the optional branch-and-bound extension.
-
-The package works without the extension (a pure-Python kernel is selected at
-import time); the build therefore tolerates a missing Cython or compiler.
-"""
+"""Kept for ``pip install -e .`` and the benchmark's ``setup.py build_ext --inplace`` step."""
 
 from setuptools import setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "tumbling._kernels",
-                ["src/tumbling/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

@@ -46,9 +46,6 @@ its forced vertices' coverage with their conflicts removed, as
 Roots are how a caller that knows the graph's symmetry (``density`` on a
 toroidal quotient) searches one branch per vertex orbit instead of every
 symmetric copy of each optimum; the kernels assume no symmetry themselves.
-
-The compiled extension in ``_kernels.pyx`` implements the same interface
-over fixed-width machine words; results are identical, only speed differs.
 """
 
 from __future__ import annotations

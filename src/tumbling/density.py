@@ -221,7 +221,10 @@ def _solve_one(args):
 def _thread_budget() -> int:
     env = os.environ.get("TB_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"TB_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -294,6 +294,13 @@ def test_density_max_det_over_the_cap_exit_2(capsys):
     assert out == "" and str(MAX_RECORD_DET) in err
 
 
+def test_density_malformed_thread_budget_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("TB_THREADS", "two")
+    code, out, err = run(capsys, "density", "--param", "gamma", "--max-det", "6")
+    assert code == 2
+    assert out == "" and err == "error: TB_THREADS must be an integer, got 'two'\n"
+
+
 def test_verify_non_object_record_exit_2(capsys, tmp_path):
     code, _, err = _verify_payload(capsys, tmp_path, [1, 2, 3])
     assert code == 2

@@ -157,19 +157,6 @@ def test_oracle_agreement_sample():
             assert verify_witness(g, kind, got.witness, got.value)
 
 
-def test_backend_parity(monkeypatch, block, c6):
-    import tumbling.solvers as solve_mod
-
-    reference = {}
-    for kind in ParamKind:
-        reference[kind] = solve(block, kind), solve(c6, kind)
-    monkeypatch.setattr(solve_mod, "kernels_for", lambda n: _kernels_py)
-    for kind in ParamKind:
-        for g, ref in zip((block, c6), reference[kind]):
-            res = solve(g, kind)
-            assert (res.value, res.witness) == (ref.value, ref.witness)
-
-
 def test_deterministic_witness_is_repeatable(block):
     for kind in ParamKind:
         a = solve(block, kind)
@@ -220,31 +207,48 @@ def test_solve_stats_populated(block):
     assert solve(cycle(8), ParamKind.GAMMA).stats.canon_calls > 0
 
 
-# every kernel that imports: pure Python always, the compiled one when built
-@pytest.fixture(params=["tumbling._kernels_py", "tumbling._kernels"])
+# the kernels every solver runs; one fixture, so the tests that take it keep
+# their ids
+@pytest.fixture(params=[_kernels_py], ids=["tumbling._kernels_py"])
 def kernel(request):
-    return pytest.importorskip(request.param)
+    return request.param
 
 
-# instances on either side of the 32- and 64-bit word boundaries
-WORD_BOUNDARY_GRAPHS = [pytest.param(cycle(n), id=f"C{n}") for n in (31, 32, 33, 63, 64, 65, 130)] + [
-    pytest.param(build_quotient(LatticeQuotient(4, 0, 4)), id="q(4,0,4)")
-]
+#: F, F-OP and gamma of the cycle C_n: 3 floor(n/3); 2 floor(n/2), less 2
+#: when n = 2 mod 4; and ceil(n/3)
+CYCLE_OPTIMA = {
+    ParamKind.F_MAX: lambda n: 3 * (n // 3),
+    ParamKind.F_OP_MAX: lambda n: 2 * (n // 2) - 2 * (n % 4 == 2),
+    ParamKind.GAMMA: lambda n: -(-n // 3),
+}
 
 
-@pytest.mark.parametrize("g", WORD_BOUNDARY_GRAPHS)
-def test_kernel_word_boundary_consistency(kernel, g):
+def test_cycle_optima_match_brute_force():
+    for n in range(7, 21):
+        for kind, optimum in CYCLE_OPTIMA.items():
+            assert brute_force(cycle(n), kind).value == optimum(n), (n, kind)
+
+
+# instances on either side of the 32- and 64-bit word boundaries, with their
+# F, F-OP and gamma
+WORD_BOUNDARY_GRAPHS = [
+    pytest.param(cycle(n), tuple(optimum(n) for optimum in CYCLE_OPTIMA.values()), id=f"C{n}")
+    for n in (31, 32, 33, 63, 64, 65, 130)
+] + [pytest.param(build_quotient(LatticeQuotient(4, 0, 4)), (44, 36, 10), id="q(4,0,4)")]
+
+
+@pytest.mark.parametrize(("g", "optima"), WORD_BOUNDARY_GRAPHS)
+def test_kernel_word_boundary_consistency(kernel, g, optima):
     n = g.n
-    for cov in (list(g.closed_masks()), list(g.open_masks())):
-        best, _, _ = kernel.solve_pack(n, cov)
-        assert best == _kernels_py.solve_pack(n, cov)[0]
+    f, f_op, gamma = optima
+    for cov, best in ((list(g.closed_masks()), f), (list(g.open_masks()), f_op)):
+        assert kernel.solve_pack(n, cov)[0] == best
         assert kernel.pack_feasible(n, cov, 0, 0, best, n) is not None
         assert kernel.pack_feasible(n, cov, 0, 0, best + 1, n) is None
     reqs = _cover_requirements(g, ParamKind.GAMMA)
-    opt, _, _ = kernel.solve_cover(n, reqs)
-    assert opt == _kernels_py.solve_cover(n, reqs)[0]
-    assert kernel.cover_feasible(n, reqs, 0, 0, opt) is not None
-    assert kernel.cover_feasible(n, reqs, 0, 0, opt - 1) is None
+    assert kernel.solve_cover(n, reqs)[0] == gamma
+    assert kernel.cover_feasible(n, reqs, 0, 0, gamma) is not None
+    assert kernel.cover_feasible(n, reqs, 0, 0, gamma - 1) is None
 
 
 #: the code numbers of the cycle C_n (n >= 7): LD ceil(2n/5); IC n/2 for even
@@ -264,7 +268,7 @@ def test_code_kernels_across_the_word_boundary(kernel, kind, n):
     below it, where the packing bound is tight at the root."""
     reqs = _dominance_filter(_cover_requirements(cycle(n), kind))
     opt, wit, _nodes = kernel.solve_cover(n, reqs)
-    assert opt == CYCLE_CODE_OPTIMA[kind](n) == _kernels_py.solve_cover(n, reqs)[0]
+    assert opt == CYCLE_CODE_OPTIMA[kind](n)
     assert wit.bit_count() == opt and all(m & wit for m in reqs)
     found = kernel.cover_feasible(n, reqs, 0, 0, opt)
     assert found is not None and _meets_cover(found, reqs, 0, 0, opt)
@@ -295,7 +299,7 @@ def test_dominance_filter_matches_the_quadratic_filter():
             for _ in range(rng.randint(0, 80))
         ])
     for param in WORD_BOUNDARY_GRAPHS:
-        (g,) = param.values
+        g, _optima = param.values
         lists += [_cover_requirements(g, kind) for kind in (ParamKind.LD, ParamKind.IC, ParamKind.OLD)]
     dropped = 0
     for masks in lists:
@@ -523,16 +527,27 @@ def test_optimizing_kernel_roots_contract(kernel):
     assert cover_nodes <= PLAIN_COVER_NODES
 
 
-def test_kernels_for_logs_fallback(monkeypatch, caplog):
-    import logging
-    import types
+def test_import_ignores_a_backend_request_in_the_environment():
+    """No variable selects the kernels: with TB_BACKEND=compiled, which once
+    demanded an extension that was never built, the package still imports."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
 
-    import tumbling._backend as backend
+    import tumbling
 
-    monkeypatch.setattr(backend, "_impl", types.SimpleNamespace(MAX_N=8))
-    with caplog.at_level(logging.DEBUG, logger="tumbling"):
-        assert backend.kernels_for(9) is _kernels_py
-    assert any(rec.levelno == logging.DEBUG and "n=9" in rec.getMessage() for rec in caplog.records)
+    src = str(Path(tumbling.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "TB_BACKEND": "compiled",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    probe = "import tumbling; print(tumbling.backend_name())"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], check=True, timeout=60, env=env, capture_output=True, text=True
+    )
+    assert proc.stdout == "python\n"
 
 
 # --- canonical witnesses --------------------------------------------------
