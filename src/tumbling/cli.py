@@ -113,22 +113,30 @@ def _resolve_graph(args) -> tuple[FiniteGraph, GraphDocument]:
     raise ValueError("no graph given: use --input, --family, or --quotient")
 
 
-def _parse_vertex_set(g: FiniteGraph, text: str) -> tuple[int, ...]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ":" in tok:
-            cls_s, i_s, j_s = tok.split(":")
-            addr = VertexAddr(VClass[cls_s.upper()], int(i_s), int(j_s))
-            try:
-                out.append(g.index_of(addr))
-            except KeyError:
-                raise ValueError(f"vertex {addr} is not in the graph")
+def _parse_vertex(g: FiniteGraph, tok: str) -> int:
+    """Index of one ``--set`` token: a vertex index, or a lattice address
+    ``cls:i:j``.  Raises ValueError naming the token or the valid range."""
+    parts = tok.split(":")
+    try:
+        if len(parts) == 1:
+            v = int(tok)
         else:
-            out.append(int(tok))
-    return tuple(out)
+            cls_s, i_s, j_s = parts
+            addr = VertexAddr(VClass[cls_s.upper()], int(i_s), int(j_s))
+    except (KeyError, ValueError):
+        raise ValueError(f"bad vertex {tok!r}: give an index or an address cls:i:j with cls w, u or v") from None
+    if len(parts) == 1:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range 0..{g.n - 1}")
+        return v
+    try:
+        return g.index_of(addr)
+    except KeyError:
+        raise ValueError(f"vertex {addr} is not in the graph") from None
+
+
+def _parse_vertex_set(g: FiniteGraph, text: str) -> tuple[int, ...]:
+    return tuple(_parse_vertex(g, tok) for tok in map(str.strip, text.split(",")) if tok)
 
 
 def _vertex_names(g: FiniteGraph, vs) -> str:
@@ -250,7 +258,7 @@ def _density_payload(record: DensityRecord) -> dict:
 
 def cmd_shares(args) -> int:
     g, _doc = _resolve_graph(args)
-    S = g.check_vertex_set(_parse_vertex_set(g, args.set))
+    S = frozenset(_parse_vertex_set(g, args.set))
     # report the first uncovered vertex rather than a bare failure
     dominates = is_open_dominating if args.open else is_dominating
     uncovered = next((v for v in range(g.n) if not dominates(g, S, on=(v,))), None)
@@ -424,7 +432,6 @@ def cmd_hamilton(args) -> int:
 def cmd_render(args) -> int:
     g, _doc = _resolve_graph(args)
     highlight = _parse_vertex_set(g, args.set) if args.set else ()
-    g.check_vertex_set(highlight)
     _write_output(render_svg(g, highlight=highlight, scale=args.scale), args.output)
     return 0
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 from fractions import Fraction
 from typing import NamedTuple
@@ -383,19 +383,10 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
     for q in quots:
         if orbits[q][0] != q:
             continue
-        roots = _orbit_roots(q)
-        res = solve(build_quotient(q), ParamKind.F_OP_MAX, _roots=roots)
-        if res.value == 3 * q.det:
-            return DensityRecord(
-                kind=ParamKind.F_OP_MAX,
-                quotient=q,
-                size=len(res.witness),
-                density=Fraction(len(res.witness), 3 * q.det),
-                witness=res.witness,
-                validated_radius=2,
-                exact_cover=True,
-                stats=res.stats,
-            )
+        rec = _solve_quotient(ParamKind.F_OP_MAX, q, True)
+        if rec.size == 3 * q.det:
+            size = len(rec.witness)
+            return replace(rec, size=size, density=Fraction(size, 3 * q.det), exact_cover=True)
     raise NoValidQuotientError(
         f"no exact open cover found on validated quotients with det <= {max_det}"
     )

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import FiniteGraph
-from .lattice import (
-    FamilyKind,
-    FamilySpec,
-    VClass,
-    VertexAddr,
-    build_family,
-)
-from .quotient import LatticeQuotient, build_quotient
+from .lattice import VClass, VertexAddr
 
 FORMAT_VERSION = "tumbling-graph/1"
 
@@ -66,18 +59,6 @@ def graph_from_document(doc: GraphDocument) -> FiniteGraph:
         return FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
     except ValueError as exc:
         raise ParseError(f"graph document is not a valid graph: {exc}") from exc
-
-
-def graph_from_source(source: dict) -> FiniteGraph:
-    if "family" in source:
-        spec = FamilySpec(
-            FamilyKind(source["family"]), source["rows"], source.get("cols", 1)
-        )
-        return build_family(spec)
-    if "quotient" in source:
-        a, c, d = source["quotient"]
-        return build_quotient(LatticeQuotient(a, c, d))
-    raise ParseError(f"unrecognized graph source {source!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +203,3 @@ def _vertex_record(vr, k: int, labeled: bool) -> dict:
 def load_document(path: str) -> GraphDocument:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_document(fh.read())
-
-
-def load_graph(path: str) -> FiniteGraph:
-    return graph_from_document(load_document(path))

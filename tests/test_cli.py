@@ -322,6 +322,25 @@ def test_shares_non_dominating_names_uncovered(capsys):
     assert "uncovered" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("shares", "--family", "tbt", "--rows", "2", "--set", "99"), "vertex 99 out of range 0..15"),
+        (("shares", "--family", "tbt", "--rows", "2", "--set", "-1"), "vertex -1 out of range 0..15"),
+        (("render", "--family", "tbp", "--rows", "1", "--set", "99"), "vertex 99 out of range 0..6"),
+        (("shares", "--family", "tbt", "--rows", "2", "--set", "w:1"), "bad vertex 'w:1'"),
+        (("shares", "--family", "tbt", "--rows", "2", "--set", "x:1:1"), "bad vertex 'x:1:1'"),
+    ],
+    ids=["index-too-large", "negative-index", "render-index", "short-address", "unknown-class"],
+)
+def test_bad_vertex_set_exit_2(capsys, argv, message):
+    """A --set token that names no vertex is a usage error that names it or
+    the valid range, not a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_shares_open_variant(capsys, tmp_path):
     c6 = tmp_path / "c6.txt"
     c6.write_text("p 6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n")

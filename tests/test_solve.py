@@ -405,9 +405,18 @@ def _meets_pack(s, cov, forced, banned, target, cap):
     return covered.bit_count() >= target
 
 
+#: sha256 of repr() of every cover_feasible and pack_feasible return, in
+#: call order, over the seeded cases of test_feasibility_kernel_contract, as
+#: the separate feasibility searches returned them before each engine became
+#: one search run against a fixed bound.  A search that finds a different
+#: valid set fails here.
+FEASIBLE_DIGEST = "49c190f0c8ba9176829354d8f4f13454412900d2cc3a11b4191258742bffda47"
+
+
 def test_feasibility_kernel_contract(kernel, k1):
     """Feasibility kernels return a mask meeting every constraint of the
     call exactly when plain enumeration finds such a set, else None."""
+    import hashlib
     import random
 
     # K1 under f-op: the empty packing reaches target 0, and its witness is
@@ -417,6 +426,7 @@ def test_feasibility_kernel_contract(kernel, k1):
     res = solve(k1, ParamKind.F_OP_MAX)
     assert (res.value, res.witness) == (0, ())
     rng = random.Random(20261018)
+    returns = []
     for trial in range(150):
         n = rng.randint(1, 12)
         g = random_graph(n, rng.choice((0.2, 0.35, 0.5)), 1000 + trial)
@@ -431,6 +441,7 @@ def test_feasibility_kernel_contract(kernel, k1):
             limits = [rng.randint(0, n)] + ([min(sizes), min(sizes) - 1] if sizes else [])
             for limit in limits:
                 found = kernel.cover_feasible(n, reqs, forced, banned, limit)
+                returns.append(found)
                 exists = any(size <= limit for size in sizes)
                 assert (found is not None) == exists, (trial, reqs, forced, banned, limit)
                 if found is not None:
@@ -440,11 +451,13 @@ def test_feasibility_kernel_contract(kernel, k1):
             target = rng.randint(0, n)
             cap = rng.choice((None, rng.randint(0, n)))
             found = kernel.pack_feasible(n, cov, forced, banned, target, cap)
+            returns.append(found)
             bound = n if cap is None else cap
             exists = any(_meets_pack(s, cov, forced, banned, target, bound) for s in subsets)
             assert (found is not None) == exists, (trial, cov, forced, banned, target, cap)
             if found is not None:
                 assert type(found) is int and _meets_pack(found, cov, forced, banned, target, bound)
+    assert hashlib.sha256(repr(returns).encode()).hexdigest() == FEASIBLE_DIGEST
 
 
 def _pack_value(s, cov):
@@ -563,13 +576,29 @@ def _load_fixture_generator():
     return mod
 
 
+#: stats.canon_calls summed over the cases of the canonical-witness fixture,
+#: as the separate feasibility searches made them: the canonical pass makes
+#: the same kernel calls whichever search answers them
+FIXTURE_CANON_CALLS = 6556
+
+
 def test_canonical_witnesses_match_fixture():
-    """Every canonical witness is the one stored in tests/data, byte for byte."""
+    """Every canonical witness is the one stored in tests/data, byte for byte,
+    reached with the pinned number of feasibility calls."""
     import json
 
     gen = _load_fixture_generator()
+    canon_calls = []
+
+    def counting_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        canon_calls.append(res.stats.canon_calls)
+        return res
+
+    gen.solve = counting_solve
     stored = json.loads(gen.FIXTURE.read_text())
     assert [(e["graph"], e["kind"]) for e in stored] == [(name, kind.value) for name, kind in gen.cases()]
     for entry in stored:
         got = gen.solve_case(entry["graph"], ParamKind(entry["kind"]))
         assert got == entry, entry["graph"]
+    assert sum(canon_calls) == FIXTURE_CANON_CALLS
