@@ -31,6 +31,11 @@ rule removes only subtrees holding no set that beats the bound, so optima,
 infeasibility verdicts and canonical witnesses are the plain search's; node
 counts, and the optimizing witness among equal optima, may differ.
 
+The pack search reads a conflict table (``conflicts``: which vertices'
+coverage masks overlap).  Both packing kernels take it as ``conf``;
+``solvers`` builds it once per solve and hands it to the proof and to every
+call of the canonical pass.
+
 Every search runs from ``roots``, ``(forced, banned)`` vertex masks searched
 in turn against the one bound; a feasibility kernel has the one root of its
 call.  A root conflicting with itself (forced & banned; for packing, two
@@ -196,16 +201,26 @@ def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: in
     return _cover_search(n, masks, ((forced, banned),), limit + 1, None, True)[1]
 
 
-def _conflicts(n: int, cov: list[int]) -> list[int]:
-    conf = [0] * n
-    for a in range(n):
-        ca = cov[a]
-        if ca == 0:
-            continue
-        for b in range(a + 1, n):
-            if ca & cov[b]:
-                conf[a] |= 1 << b
-                conf[b] |= 1 << a
+def conflicts(cov: list[int]) -> list[int]:
+    """Conflict table of a packing: bit b of entry a is set when b != a and
+    ``cov[a] & cov[b]``.  Built from coverage incidence: entry a is the OR,
+    over the vertices x in ``cov[a]``, of the vertices whose coverage holds
+    x."""
+    holders = [0] * max((m.bit_length() for m in cov), default=0)
+    for a, m in enumerate(cov):
+        bit = 1 << a
+        while m:
+            low = m & -m
+            m ^= low
+            holders[low.bit_length() - 1] |= bit
+    conf = []
+    for a, m in enumerate(cov):
+        near = 0
+        while m:
+            low = m & -m
+            m ^= low
+            near |= holders[low.bit_length() - 1]
+        conf.append(near & ~(1 << a))
     return conf
 
 
@@ -229,12 +244,14 @@ def _pack_start(n: int, cov: list[int], conf: list[int], forced: int, banned: in
 
 
 def _pack_search(
-    n: int, cov: list[int], roots: Roots, bound: int, cap: int, first: bool
+    n: int, cov: list[int], conf: list[int] | None, roots: Roots, bound: int, cap: int, first: bool
 ) -> tuple[int, int | None, int]:
     """Conflict-free sets of at most ``cap`` vertices covering more than
     ``bound`` that meet some root.  Returns the last kept set's (coverage,
-    mask), or the bound and None, and the node count."""
-    conf = _conflicts(n, cov)
+    mask), or the bound and None, and the node count.  ``conf`` is
+    ``conflicts(cov)``, built here when None."""
+    if conf is None:
+        conf = conflicts(cov)
     witness = None
     nodes = 0
 
@@ -278,25 +295,36 @@ def _pack_search(
     return bound, witness, nodes
 
 
-def solve_pack(n: int, cov: list[int], roots: Roots = ((0, 0),)) -> tuple[int, int, int]:
+def solve_pack(
+    n: int, cov: list[int], roots: Roots = ((0, 0),), conf: list[int] | None = None
+) -> tuple[int, int, int]:
     """Maximum coverage by pairwise-disjoint coverage masks among the sets
     that meet some root's constraints.
 
     Returns (covered count, witness mask, explored node count).  The witness
     is a conflict-free set; its coverage masks are pairwise disjoint.  Raises
-    ValueError when no root admits a conflict-free set.
+    ValueError when no root admits a conflict-free set.  ``conf``, when
+    given, is ``conflicts(cov)``.
     """
-    best, witness, nodes = _pack_search(n, cov, roots, -1, n, False)
+    best, witness, nodes = _pack_search(n, cov, conf, roots, -1, n, False)
     if witness is None:
         raise ValueError("infeasible: no root admits a packing")
     return best, witness, nodes
 
 
 def pack_feasible(
-    n: int, cov: list[int], forced: int, banned: int, target: int, size_cap: int | None = None
+    n: int,
+    cov: list[int],
+    forced: int,
+    banned: int,
+    target: int,
+    size_cap: int | None = None,
+    conf: list[int] | None = None,
 ) -> int | None:
     """A conflict-free S >= forced avoiding banned with coverage >= target
     (and, when given, |S| <= size_cap): the mask of one such S, or None when
-    there is none.  The empty set (mask 0) is a witness whenever target <= 0."""
+    there is none.  The empty set (mask 0) is a witness whenever target <= 0.
+    ``conf``, when given, is ``conflicts(cov)``, so that the many calls
+    of one canonical pass build it once."""
     cap = n if size_cap is None else size_cap
-    return _pack_search(n, cov, ((forced, banned),), target - 1, cap, True)[1]
+    return _pack_search(n, cov, conf, ((forced, banned),), target - 1, cap, True)[1]

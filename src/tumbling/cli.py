@@ -225,6 +225,8 @@ def cmd_solve(args) -> int:
 
 def cmd_density(args) -> int:
     kind = ParamKind(args.param)
+    if args.max_det < 1:
+        raise ValueError(f"--max-det must be at least 1, got {args.max_det}")
     if args.max_det > MAX_RECORD_DET:
         raise ValueError(f"--max-det is capped at {MAX_RECORD_DET}, got {args.max_det}")
     record = search(kind, args.max_det)

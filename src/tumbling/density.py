@@ -24,10 +24,17 @@ U and contains ``u(0,0)``.  The solver searches only those two branches (see
 :func:`_orbit_roots`), after certifying by arithmetic, before the solve, that
 the three generating maps are automorphisms of the quotient.
 
+A packing parameter (F, F-OP) covers at most every vertex, so its density
+never exceeds 1.  :func:`search` solves representatives in (det, a, c) order
+and stops at the first one whose packing has density 1: no later quotient
+can beat it or win the tie-break.  :func:`density_sweep` always solves every
+representative.
+
 :func:`lift_check` tiles a pattern over a window of the infinite lattice by
 quotient index arithmetic and finds the window's interior from per-class
 tables of ball offsets, so it builds no quotient graph and searches no ball
-per window vertex.
+per window vertex.  The window and its interior depend only on the window's
+size and the radius, so each is built once per process, on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -262,7 +269,7 @@ def density_sweep(
 
 
 def _solve_orbits(
-    kind: ParamKind, max_det: int, threads: int | None, deterministic: bool
+    kind: ParamKind, max_det: int, threads: int | None, deterministic: bool, stop_at_ceiling: bool = False
 ) -> tuple[
     list[LatticeQuotient],
     dict[LatticeQuotient, tuple[LatticeQuotient, LatticeSymmetry]],
@@ -277,6 +284,10 @@ def _solve_orbits(
     same optimum; RuntimeError if a certificate fails.  No graph is built
     for a member.  A process pool takes the representatives largest det
     first, so that no slow solve starts last.
+
+    With ``stop_at_ceiling``, a serial sweep stops after the first
+    representative whose record has density 1, and only the representatives
+    solved so far have a record; a pool solves them all.
     """
     quots = valid_quotients(max_det, required_radius(kind))
     if not quots:
@@ -297,9 +308,9 @@ def _solve_orbits(
             results = [done[k] for k in range(len(reps))]
         except OSError as exc:
             _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(tasks))
-            results = [_solve_one(t) for t in tasks]
+            results = _solve_in_order(tasks, stop_at_ceiling)
     else:
-        results = [_solve_one(t) for t in tasks]
+        results = _solve_in_order(tasks, stop_at_ceiling)
 
     orbit_size = Counter(rep for rep, _g in orbits.values())
     solved = dict(zip(reps, results))
@@ -308,14 +319,28 @@ def _solve_orbits(
             "%s on %s: orbit of %d, %d nodes, %.3fs",
             kind.value, q, orbit_size[q], record.stats.nodes, record.stats.elapsed,
         )
+    if len(results) < len(reps):
+        extent = f"stopped at density 1 after {len(results)} of {len(reps)} representatives"
+    else:
+        extent = f"{len(reps)} representatives solved"
     slowest = max(results, key=lambda record: record.stats.elapsed)
     _log.info(
-        "%s sweep to det %d: %d valid quotients, %d representatives solved, slowest %s (%.3fs), "
-        "proof %d nodes in %.3fs",
-        kind.value, max_det, len(quots), len(reps), slowest.quotient, slowest.stats.elapsed,
+        "%s sweep to det %d: %d valid quotients, %s, slowest %s (%.3fs), proof %d nodes in %.3fs",
+        kind.value, max_det, len(quots), extent, slowest.quotient, slowest.stats.elapsed,
         sum(r.stats.nodes for r in results), sum(r.stats.proof_s for r in results),
     )
     return quots, orbits, solved
+
+
+def _solve_in_order(tasks: list, stop_at_ceiling: bool) -> list[DensityRecord]:
+    """The records of ``tasks`` solved in turn; with ``stop_at_ceiling``,
+    none after the first record of density 1."""
+    results = []
+    for task in tasks:
+        results.append(_solve_one(task))
+        if stop_at_ceiling and results[-1].density == 1:
+            break
+    return results
 
 
 def _carry_record(rec: DensityRecord, src: FiniteGraph, q: LatticeQuotient, g: LatticeSymmetry) -> DensityRecord:
@@ -347,8 +372,17 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
 
     Only orbit representatives are solved.  Every other member is certified
     to have its representative's optimum and comes later in (det, a, c)
-    order, so it never wins the tie-break."""
-    _quots, _orbits, solved = _solve_orbits(kind, max_det, threads, deterministic=False)
+    order, so it never wins the tie-break.
+
+    A packing covers at most every vertex, so for F and F-OP a serial search
+    stops at the first representative, in (det, a, c) order, whose packing
+    has density 1: nothing later can beat it or win the tie-break.  A search
+    on a process pool (largest det first) solves every representative and
+    returns the same record.  The winner is solved once more for its
+    canonical witness."""
+    _quots, _orbits, solved = _solve_orbits(
+        kind, max_det, threads, deterministic=False, stop_at_ceiling=not kind.minimizes
+    )
     if not solved:
         raise NoValidQuotientError(
             f"no quotient with det <= {max_det} validates at radius {required_radius(kind)}"
@@ -372,24 +406,19 @@ def f_fraction(q: LatticeQuotient) -> DensityRecord:
 def perfect_open_pattern(max_det: int) -> DensityRecord:
     """Smallest validated quotient whose open neighborhoods admit an exact cover.
 
-    The returned record stores the pattern itself: ``size`` is the pattern
-    cardinality, and a perfect open-dominating pattern always has density
-    exactly 2/9 on this lattice (one U and one W/V neighbor-source per nine
-    vertices)."""
-    quots = valid_quotients(max_det, 2)
-    orbits = quotient_orbits(quots)
-    # an exact open cover is an isomorphism invariant, so the first quotient
-    # that has one is the first of its orbit
-    for q in quots:
-        if orbits[q][0] != q:
-            continue
-        rec = _solve_quotient(ParamKind.F_OP_MAX, q, True)
-        if rec.size == 3 * q.det:
-            size = len(rec.witness)
-            return replace(rec, size=size, density=Fraction(size, 3 * q.det), exact_cover=True)
-    raise NoValidQuotientError(
-        f"no exact open cover found on validated quotients with det <= {max_det}"
-    )
+    That is the ``search`` winner for F-OP when its packing covers every
+    vertex (density 1), so the search stops there.  The returned record
+    stores the pattern itself: ``size`` is the pattern cardinality, and a
+    perfect open-dominating pattern always has density exactly 2/9 on this
+    lattice (one U and one W/V neighbor-source per nine vertices).  One
+    thread, so no process pool is started."""
+    rec = search(ParamKind.F_OP_MAX, max_det, threads=1)
+    if rec.density != 1:
+        raise NoValidQuotientError(
+            f"no exact open cover found on validated quotients with det <= {max_det}"
+        )
+    size = len(rec.witness)
+    return replace(rec, size=size, density=Fraction(size, 3 * rec.quotient.det), exact_cover=True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +443,21 @@ def _interior(window: FiniteGraph, radius: int) -> list[int]:
     ]
 
 
+@lru_cache(maxsize=4)
+def _lift_window(r: int, s: int) -> FiniteGraph:
+    """The TBP r x s window of :func:`lift_check`, built by
+    :func:`tumbling.lattice.build_family` (no code shared with
+    ``build_quotient``) once per process; a FiniteGraph is immutable, so
+    every check shares it."""
+    return build_family(FamilySpec(FamilyKind.TBP, r, s))
+
+
+@lru_cache(maxsize=8)
+def _window_interior(r: int, s: int, radius: int) -> tuple[int, ...]:
+    """:func:`_interior` of the r x s lift window, once per process."""
+    return tuple(_interior(_lift_window(r, s), radius))
+
+
 def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     """Tile the pattern over a parallelogram window and run the kind's
     definitional predicate on the window's interior: the vertices whose full
@@ -423,7 +467,9 @@ def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     A window vertex is in the pattern when the quotient index of its orbit
     (:meth:`LatticeQuotient.index`) is a witness vertex, and the interior
     comes from a per-class table of ball offsets (:func:`_interior`), so no
-    quotient graph is built and no ball is searched per vertex.
+    quotient graph is built and no ball is searched per vertex.  The window
+    and its interior are built on the first check of their size and radius
+    and shared by every later one.
     """
     radius = record.validated_radius
     if min(window_r, window_s) < 2 * radius + 2:
@@ -431,9 +477,9 @@ def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     q = record.quotient
     pattern = set(record._checked_witness())
 
-    window = build_family(FamilySpec(FamilyKind.TBP, window_r, window_s))
+    window = _lift_window(window_r, window_s)
     lifted = frozenset(k for k, (cls, i, j) in enumerate(window.labels) if q.index(cls, i, j) in pattern)
-    interior = _interior(window, radius)
+    interior = _window_interior(window_r, window_s, radius)
     kind = record.kind
     if kind.minimizes:
         return _PREDICATES[kind](window, lifted, on=interior)

@@ -18,6 +18,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from ._backend import kernels_for
+from ._kernels_py import conflicts
 from .graph import FiniteGraph
 
 BRUTE_FORCE_MAX_N = 24
@@ -387,14 +388,17 @@ def _pack_size_bound(cov: list[int], best: int) -> int:
     return size
 
 
-def _lex_min_pack(kern, kind: ParamKind, n: int, cov: list[int], best: int, witness: int) -> tuple[int, int]:
+def _lex_min_pack(
+    kern, kind: ParamKind, n: int, cov: list[int], conf: list[int], best: int, witness: int
+) -> tuple[int, int]:
     """Canonical optimal packing: fewest vertices, then lexicographically
     least, starting from the proof's witness; and the number of kernel calls
     made.  The size is the first one from :func:`_pack_size_bound` up to the
-    size of ``witness`` at which some packing covers ``best`` vertices."""
+    size of ``witness`` at which some packing covers ``best`` vertices.
+    Every call reads the one conflict table ``conf``."""
 
     def feasible(forced: int, banned: int, cap: int) -> int | None:
-        found = kern.pack_feasible(n, cov, forced, banned, best, cap)
+        found = kern.pack_feasible(n, cov, forced, banned, best, cap, conf=conf)
         return None if found is None else _check_pack(found, kind, n, cov, best, forced, banned, cap)
 
     calls = 0
@@ -443,12 +447,13 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
             wit_mask, calls = _lex_min_cover(kern, kind, n, reqs, value, wit_mask)
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
+        conf = conflicts(cov)
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_pack(n, cov, roots)
+        value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf=conf)
         t_canon = time.perf_counter()
         wit_mask = _check_roots(_check_pack(wit_mask, kind, n, cov, value, 0, 0, n), kind, n, roots)
         if deterministic:
-            wit_mask, calls = _lex_min_pack(kern, kind, n, cov, value, wit_mask)
+            wit_mask, calls = _lex_min_pack(kern, kind, n, cov, conf, value, wit_mask)
     t_end = time.perf_counter()
     witness = _mask_to_tuple(wit_mask)
     if not verify_witness(g, kind, witness, value):

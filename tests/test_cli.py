@@ -294,6 +294,13 @@ def test_density_max_det_over_the_cap_exit_2(capsys):
     assert out == "" and str(MAX_RECORD_DET) in err
 
 
+@pytest.mark.parametrize("max_det", ["0", "-3"])
+def test_density_max_det_below_one_exit_2(capsys, max_det):
+    code, out, err = run(capsys, "density", "--param", "gamma", "--max-det", max_det)
+    assert code == 2
+    assert out == "" and err == f"error: --max-det must be at least 1, got {max_det}\n"
+
+
 def test_density_malformed_thread_budget_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("TB_THREADS", "two")
     code, out, err = run(capsys, "density", "--param", "gamma", "--max-det", "6")

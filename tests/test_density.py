@@ -307,9 +307,9 @@ def test_carried_record_checks_the_built_graphs():
     assert (carried.quotient, carried.size) == (q, rec.size)
 
 
-def test_pool_takes_the_largest_quotients_first(monkeypatch):
-    """A parallel sweep hands out representatives in decreasing det and
-    returns the records in (det, a, c) order, as a serial sweep does."""
+def _inline_pool(monkeypatch) -> list:
+    """Replace the sweep's process pool by one that solves in this process,
+    and return the list of the quotients it is handed, in order."""
     handed_out = []
 
     class InlinePool:
@@ -328,6 +328,13 @@ def test_pool_takes_the_largest_quotients_first(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(density_mod, "ProcessPoolExecutor", InlinePool)
+    return handed_out
+
+
+def test_pool_takes_the_largest_quotients_first(monkeypatch):
+    """A parallel sweep hands out representatives in decreasing det and
+    returns the records in (det, a, c) order, as a serial sweep does."""
+    handed_out = _inline_pool(monkeypatch)
     pooled = density_sweep(ParamKind.LD, 12, threads=2)
     reps = _representatives(12, 2)
     assert sorted(handed_out, key=lambda q: (-q.det, q.a, q.c)) == handed_out
@@ -357,6 +364,86 @@ def test_sweep_logs_each_representative_and_a_summary(caplog):
     # the summary's proof nodes are the representatives' nodes, summed
     assert nodes > 0
     assert re.search(rf", proof {nodes} nodes in \d+\.\d{{3}}s$", info[0]), info[0]
+
+
+def _recording_build(monkeypatch) -> list:
+    built = []
+    real_build = density_mod.build_quotient
+
+    def recording_build(q):
+        built.append(q)
+        return real_build(q)
+
+    monkeypatch.setattr(density_mod, "build_quotient", recording_build)
+    return built
+
+
+def test_packing_search_stops_at_density_1(monkeypatch, caplog):
+    """F-OP reaches density 1 on q(3,0,3): no later representative is solved,
+    the winner is solved once more for its canonical witness, and the
+    summary says where the sweep stopped."""
+    built = _recording_build(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="tumbling"):
+        rec = search(ParamKind.F_OP_MAX, 14, threads=1)
+    reps = _representatives(14, 2)
+    stop = reps.index(LatticeQuotient(3, 0, 3)) + 1
+    assert (rec.quotient, rec.density, rec.witness) == (LatticeQuotient(3, 0, 3), 1, (0, 5, 7, 9, 14, 16))
+    assert built == reps[:stop] + [rec.quotient]
+    assert stop < len(reps)
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(info) == 1
+    assert f", stopped at density 1 after {stop} of {len(reps)} representatives, slowest (" in info[0], info[0]
+
+
+def test_packing_search_below_density_1_solves_every_representative(monkeypatch, caplog):
+    built = _recording_build(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="tumbling"):
+        rec = search(ParamKind.F_MAX, 16, threads=1)
+    reps = _representatives(16, 2)
+    assert rec.density == Fraction(11, 12)
+    assert built == reps + [rec.quotient]
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert f", {len(reps)} representatives solved, " in info[0] and "stopped" not in info[0]
+
+
+def test_pooled_packing_search_equals_the_serial_one(monkeypatch):
+    """A search on the pool solves every representative, and returns the
+    record the serial search stops at."""
+    serial = search(ParamKind.F_OP_MAX, 14, threads=1)
+    handed_out = _inline_pool(monkeypatch)
+    pooled = search(ParamKind.F_OP_MAX, 14, threads=2)
+    assert sorted(handed_out, key=lambda q: (q.det, q.a, q.c)) == _representatives(14, 2)
+    assert pooled == serial
+
+
+def test_perfect_open_pattern_is_the_f_op_search_winner(monkeypatch):
+    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", lambda max_workers: pytest.fail("started a pool"))
+    monkeypatch.setenv("TB_THREADS", "2")
+    rec = perfect_open_pattern(12)
+    assert (rec.quotient, rec.size, rec.density, rec.witness) == (
+        LatticeQuotient(3, 0, 3), 6, Fraction(2, 9), (0, 5, 7, 9, 14, 16)
+    )
+    assert rec.exact_cover
+
+
+#: search(kind, 16, threads=1) as it was before packing searches stopped at
+#: density 1: (density, quotient (a, c, d), witness).
+SEARCH_16 = {
+    ParamKind.GAMMA: ("1/5", (2, 0, 5), (0, 11, 13, 15, 18, 27)),
+    ParamKind.GAMMA_OP: ("2/9", (3, 2, 1), (0, 3)),
+    ParamKind.F_MAX: ("11/12", (4, 3, 2), (0, 4, 10, 14)),
+    ParamKind.F_OP_MAX: ("1", (3, 0, 3), (0, 5, 7, 9, 14, 16)),
+    ParamKind.LD: ("13/45", (5, 4, 3), (0, 2, 9, 12, 15, 16, 18, 19, 21, 22, 24, 25, 28)),
+    ParamKind.IC: ("5/16", (4, 0, 4), (0, 1, 12, 16, 18, 20, 21, 22, 23, 24, 26, 28, 29, 30, 42)),
+    ParamKind.OLD: ("7/18", (3, 0, 4), (0, 1, 2, 12, 13, 14, 15, 16, 17, 18, 19, 29, 30, 31)),
+}
+
+
+@pytest.mark.parametrize("kind", list(ParamKind), ids=lambda k: k.value)
+def test_search_records_to_det_16_are_pinned(kind):
+    rec = search(kind, 16, threads=1)
+    q = rec.quotient
+    assert (str(rec.density), (q.a, q.c, q.d), rec.witness) == SEARCH_16[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +592,48 @@ def test_lift_interior_matches_ball_search(radius):
             interior = density_mod._interior(window, radius)
             assert interior == _ball_search_interior(window, radius), (r, s)
             assert interior  # nonempty: the check has something to check
+
+
+@pytest.mark.parametrize("kind", list(ParamKind), ids=lambda k: k.value)
+def test_cached_lift_window_gives_the_fresh_verdict(kind, monkeypatch):
+    """Every record of a det <= 9 sweep, and the same record with its first
+    witness vertex dropped, gets the same verdict from the cached window as
+    from a window and interior built afresh for the call."""
+    records = density_sweep(kind, 9, threads=1)
+    cases = [r for rec in records for r in (rec, replace(rec, witness=rec.witness[1:]))]
+    cached = [lift_check(r, 12, 12) for r in cases]
+    monkeypatch.setattr(density_mod, "_lift_window", density_mod._lift_window.__wrapped__)
+    monkeypatch.setattr(density_mod, "_window_interior", density_mod._window_interior.__wrapped__)
+    assert [lift_check(r, 12, 12) for r in cases] == cached
+    assert all(cached[::2])
+
+
+def test_lift_check_fails_a_corrupted_record_after_a_pass():
+    for rec in (min_density(ParamKind.LD, LatticeQuotient(3, 0, 3)), perfect_open_pattern(9)):
+        broken = replace(rec, witness=rec.witness[1:])
+        assert lift_check(rec, 12, 12)
+        assert not lift_check(broken, 12, 12)
+        assert lift_check(rec, 12, 12)
+
+
+def test_lift_window_is_built_once_per_process(monkeypatch):
+    builds = []
+    interiors = []
+    real_build, real_interior = density_mod.build_family, density_mod._interior
+    monkeypatch.setattr(density_mod, "build_family", lambda spec: builds.append(spec) or real_build(spec))
+    monkeypatch.setattr(density_mod, "_interior", lambda w, r: interiors.append(r) or real_interior(w, r))
+    density_mod._lift_window.cache_clear()
+    density_mod._window_interior.cache_clear()
+    try:
+        ld = min_density(ParamKind.LD, LatticeQuotient(3, 0, 3))
+        gamma = min_density(ParamKind.GAMMA, LatticeQuotient(2, 0, 5))
+        for rec in (ld, gamma, ld, gamma, ld):
+            assert lift_check(rec, 12, 12)
+        assert builds == [FamilySpec(FamilyKind.TBP, 12, 12)]
+        assert interiors == [2, 1]
+    finally:
+        density_mod._lift_window.cache_clear()
+        density_mod._window_interior.cache_clear()
 
 
 def test_lift_check_and_witness_addresses_build_no_quotient_graph(monkeypatch):

@@ -317,7 +317,7 @@ def test_canonical_packing_fails_loudly_on_inconsistent_kernel(monkeypatch):
     stub = types.SimpleNamespace(
         MAX_N=_kernels_py.MAX_N,
         solve_pack=_kernels_py.solve_pack,
-        pack_feasible=lambda *args: False,
+        pack_feasible=lambda *args, **kwargs: False,
     )
     monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
     with pytest.raises(RuntimeError, match=r"f on n=6"):
@@ -360,8 +360,8 @@ def test_proof_witness_outside_every_root_fails_loudly(monkeypatch):
     def unrooted_cover(n, reqs, roots):
         return _kernels_py.solve_cover(n, reqs)
 
-    def unrooted_pack(n, cov, roots):
-        return _kernels_py.solve_pack(n, cov)
+    def unrooted_pack(n, cov, roots, conf=None):
+        return _kernels_py.solve_pack(n, cov, conf=conf)
 
     stub = types.SimpleNamespace(MAX_N=_kernels_py.MAX_N, solve_cover=unrooted_cover, solve_pack=unrooted_pack)
     monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
@@ -370,6 +370,21 @@ def test_proof_witness_outside_every_root_fails_loudly(monkeypatch):
         assert 0 in solve(cycle(8), kind, deterministic=False).witness
         with pytest.raises(RuntimeError, match=rf"{kind.value} on n=8: witness meets no root"):
             solve(cycle(8), kind, deterministic=False, _roots=[(0b10, 0b1)])
+
+
+def test_conflict_table_matches_the_pairwise_definition():
+    """The incidence-built table has bit b of entry a exactly when b != a and
+    the two coverage masks overlap, as the pairwise loop found it."""
+    import random
+
+    rng = random.Random(13)
+    for trial in range(200):
+        n = rng.randint(0, 20)
+        cov = [rng.getrandbits(n + 3) & rng.getrandbits(n + 3) if rng.random() < 0.9 else 0 for _ in range(n)]
+        pairwise = [
+            sum(1 << b for b in range(n) if b != a and cov[a] & cov[b]) for a in range(n)
+        ]
+        assert _kernels_py.conflicts(cov) == pairwise, (trial, cov)
 
 
 def test_pack_size_bound_never_exceeds_the_fewest_vertices():
