@@ -21,13 +21,16 @@ the root of the branch and bound).  The block translations act transitively
 on each vertex class, and the 180-degree rotation swaps W and V, so every
 nonempty optimum has a copy that contains ``w(0,0)`` or one that lies inside
 U and contains ``u(0,0)``.  The solver searches only those two branches (see
-:func:`_orbit_roots`), after certifying by arithmetic, before the solve, that
-the three generating maps are automorphisms of the quotient.
+:func:`_orbit_roots`).  Before the solve, the two translations and the
+rotation are certified to be automorphisms of the quotient by the same
+:func:`tumbling.quotient.induces_isomorphism` that certifies orbit members:
+each of them is a :class:`tumbling.quotient.LatticeSymmetry`.
 
 A packing parameter (F, F-OP) covers at most every vertex, so its density
-never exceeds 1.  :func:`search` solves representatives in (det, a, c) order
-and stops at the first one whose packing has density 1: no later quotient
-can beat it or win the tie-break.  :func:`density_sweep` always solves every
+never exceeds 1.  :func:`search` for a packing parameter is serial, whatever
+the thread budget: it solves representatives in (det, a, c) order and stops
+at the first one whose packing has density 1, since no later quotient can
+beat it or win the tie-break.  :func:`density_sweep` always solves every
 representative.
 
 :func:`lift_check` tiles a pattern over a window of the infinite lattice by
@@ -43,9 +46,8 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import quotient
 from .graph import FiniteGraph
@@ -56,7 +58,6 @@ from .quotient import (
     build_quotient,
     enumerate_hnf,
     induces_isomorphism,
-    maps_root_neighbors,
     quotient_labels,
     quotient_orbits,
     tb_ball,
@@ -167,6 +168,15 @@ def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what
     return phi
 
 
+#: The block translations by (1, 0) and (0, 1), by name: M = I, and every
+#: class is shifted by the same vector, so each maps every sublattice onto
+#: itself.
+_TRANSLATIONS = {
+    "translation (1,0)": LatticeSymmetry((1, 0, 0, 1), False, (1, 0), (1, 0), (1, 0)),
+    "translation (0,1)": LatticeSymmetry((1, 0, 0, 1), False, (0, 1), (0, 1), (0, 1)),
+}
+
+
 def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
     """Root branches of an orbital search on the built graph of ``q``: force
     ``w(0,0)``; or ban W and V and force ``u(0,0)``.
@@ -179,18 +189,14 @@ def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
     has a copy containing ``w(0,0)``, and any other nonempty one has a copy
     inside U containing ``u(0,0)``.
 
-    All three maps are certified by arithmetic, with no graph built.  A
-    translation moves every class by the same offset, so it commutes with
-    the sublattice, and it is an automorphism of every quotient once it maps
-    the neighbours of each class root onto those of the root's image
-    (:func:`tumbling.quotient.maps_root_neighbors`); that certificate does
-    not depend on ``q`` and is cached.  The rotation is
-    certified by :func:`tumbling.quotient.induces_isomorphism`, and its
-    ``swap`` flag carries W onto V.  Raises RuntimeError if a certificate
-    fails.
+    All three maps are certified by arithmetic, with no graph built:
+    :func:`tumbling.quotient.induces_isomorphism` from ``q`` onto itself,
+    whose lattice half is cached, so each map is checked against the
+    lattice once per process.  The rotation's ``swap`` flag carries W onto
+    V.  Raises RuntimeError if a certificate fails.
     """
-    for name, f in (("translation (1,0)", _Shift(1, 0)), ("translation (0,1)", _Shift(0, 1))):
-        if not _is_translation_automorphism(f):
+    for name, t in _TRANSLATIONS.items():
+        if not induces_isomorphism(t, q, q):
             raise RuntimeError(f"{name} is not an automorphism of quotient {q}")
     half_turn = quotient.POINT_GROUP[3]
     if not induces_isomorphism(half_turn, q, q):
@@ -200,29 +206,6 @@ def _orbit_roots(q: LatticeQuotient) -> tuple[tuple[int, int], ...]:
     det = q.det
     w_block = (1 << det) - 1
     return ((1, 0), (1 << det, w_block | w_block << 2 * det))
-
-
-class _Shift(NamedTuple):
-    """The block translation x -> x + (di, dj), hashed by value."""
-
-    di: int
-    dj: int
-
-    def __call__(self, x: VertexAddr) -> VertexAddr:
-        return VertexAddr(x.cls, x.i + self.di, x.j + self.dj)
-
-
-@cache
-def _is_translation_automorphism(f) -> bool:
-    """:func:`tumbling.quotient.maps_root_neighbors` of a translation, which
-    does not depend on the quotient, so each ``_Shift`` value is certified
-    once per process."""
-    return maps_root_neighbors(f)
-
-
-def _solve_one(args):
-    kind_value, a, c, d, deterministic = args
-    return _solve_quotient(ParamKind(kind_value), LatticeQuotient(a, c, d), deterministic)
 
 
 def _thread_budget() -> int:
@@ -277,17 +260,19 @@ def _solve_orbits(
 ]:
     """The validated quotients with det <= max_det in (det, a, c) order, their
     orbits (see :func:`quotient_orbits`), and the solved record of each
-    orbit representative.
+    orbit representative, in (det, a, c) order.
 
     Before any solve, every other member is certified to be an isomorphic
     image of its representative (:func:`induces_isomorphism`), so it has the
     same optimum; RuntimeError if a certificate fails.  No graph is built
-    for a member.  A process pool takes the representatives largest det
-    first, so that no slow solve starts last.
+    for a member.  With more than one thread and more than 4
+    representatives, a process pool takes them largest det first, so that
+    no slow solve starts last; otherwise, or if the pool cannot start, they
+    are solved in turn in (det, a, c) order.
 
-    With ``stop_at_ceiling``, a serial sweep stops after the first
-    representative whose record has density 1, and only the representatives
-    solved so far have a record; a pool solves them all.
+    With ``stop_at_ceiling`` the representatives are always solved in turn,
+    and the sweep stops after the first one whose record has density 1:
+    only the representatives solved so far have a record.
     """
     quots = valid_quotients(max_det, required_radius(kind))
     if not quots:
@@ -299,48 +284,40 @@ def _solve_orbits(
     reps = [q for q in quots if orbits[q][0] == q]
     if threads is None:
         threads = _thread_budget()
-    tasks = [(kind.value, q.a, q.c, q.d, deterministic) for q in reps]
-    if threads > 1 and len(tasks) > 4:
-        largest_first = sorted(range(len(reps)), key=lambda k: -reps[k].det)
+    solve_rep = partial(_solve_quotient, kind, deterministic=deterministic)
+    solved: dict[LatticeQuotient, DensityRecord] = {}
+    if threads > 1 and len(reps) > 4 and not stop_at_ceiling:
+        largest_first = sorted(reps, key=lambda q: -q.det)
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                done = dict(zip(largest_first, pool.map(_solve_one, [tasks[k] for k in largest_first])))
-            results = [done[k] for k in range(len(reps))]
+                pooled = dict(zip(largest_first, pool.map(solve_rep, largest_first)))
+            solved = {q: pooled[q] for q in reps}
         except OSError as exc:
-            _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(tasks))
-            results = _solve_in_order(tasks, stop_at_ceiling)
-    else:
-        results = _solve_in_order(tasks, stop_at_ceiling)
+            _log.warning("process pool unavailable (%s); solving %d quotients serially", exc, len(reps))
+    if not solved:
+        for q in reps:
+            solved[q] = solve_rep(q)
+            if stop_at_ceiling and solved[q].density == 1:
+                break
 
     orbit_size = Counter(rep for rep, _g in orbits.values())
-    solved = dict(zip(reps, results))
     for q, record in solved.items():
         _log.debug(
             "%s on %s: orbit of %d, %d nodes, %.3fs",
             kind.value, q, orbit_size[q], record.stats.nodes, record.stats.elapsed,
         )
-    if len(results) < len(reps):
-        extent = f"stopped at density 1 after {len(results)} of {len(reps)} representatives"
+    if len(solved) < len(reps):
+        extent = f"stopped at density 1 after {len(solved)} of {len(reps)} representatives"
     else:
         extent = f"{len(reps)} representatives solved"
-    slowest = max(results, key=lambda record: record.stats.elapsed)
+    records = solved.values()
+    slowest = max(records, key=lambda record: record.stats.elapsed)
     _log.info(
         "%s sweep to det %d: %d valid quotients, %s, slowest %s (%.3fs), proof %d nodes in %.3fs",
         kind.value, max_det, len(quots), extent, slowest.quotient, slowest.stats.elapsed,
-        sum(r.stats.nodes for r in results), sum(r.stats.proof_s for r in results),
+        sum(r.stats.nodes for r in records), sum(r.stats.proof_s for r in records),
     )
     return quots, orbits, solved
-
-
-def _solve_in_order(tasks: list, stop_at_ceiling: bool) -> list[DensityRecord]:
-    """The records of ``tasks`` solved in turn; with ``stop_at_ceiling``,
-    none after the first record of density 1."""
-    results = []
-    for task in tasks:
-        results.append(_solve_one(task))
-        if stop_at_ceiling and results[-1].density == 1:
-            break
-    return results
 
 
 def _carry_record(rec: DensityRecord, src: FiniteGraph, q: LatticeQuotient, g: LatticeSymmetry) -> DensityRecord:
@@ -374,12 +351,11 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
     to have its representative's optimum and comes later in (det, a, c)
     order, so it never wins the tie-break.
 
-    A packing covers at most every vertex, so for F and F-OP a serial search
-    stops at the first representative, in (det, a, c) order, whose packing
-    has density 1: nothing later can beat it or win the tie-break.  A search
-    on a process pool (largest det first) solves every representative and
-    returns the same record.  The winner is solved once more for its
-    canonical witness."""
+    A packing covers at most every vertex, so a search for F or F-OP is
+    serial, whatever ``threads`` says: it stops at the first representative,
+    in (det, a, c) order, whose packing has density 1, since nothing later
+    can beat it or win the tie-break.  The winner is solved once more for
+    its canonical witness."""
     _quots, _orbits, solved = _solve_orbits(
         kind, max_det, threads, deterministic=False, stop_at_ceiling=not kind.minimizes
     )
@@ -410,9 +386,8 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
     vertex (density 1), so the search stops there.  The returned record
     stores the pattern itself: ``size`` is the pattern cardinality, and a
     perfect open-dominating pattern always has density exactly 2/9 on this
-    lattice (one U and one W/V neighbor-source per nine vertices).  One
-    thread, so no process pool is started."""
-    rec = search(ParamKind.F_OP_MAX, max_det, threads=1)
+    lattice (one U and one W/V neighbor-source per nine vertices)."""
+    rec = search(ParamKind.F_OP_MAX, max_det)
     if rec.density != 1:
         raise NoValidQuotientError(
             f"no exact open cover found on validated quotients with det <= {max_det}"

@@ -28,7 +28,9 @@ quotient by M*L, and the two are isomorphic graphs.  :func:`quotient_orbits`
 groups quotients into these orbits, so a density sweep can solve one
 quotient per orbit.  :func:`induces_isomorphism` certifies each orbit member
 by the same kind of arithmetic, so no member's graph need be built to trust
-that it has its representative's optimum.
+that it has its representative's optimum.  A block translation is a
+:class:`LatticeSymmetry` too (M = I, every class shifted alike), and the
+same certificate shows that it maps a quotient onto itself.
 """
 
 from __future__ import annotations
@@ -217,20 +219,21 @@ class LatticeSymmetry(NamedTuple):
     """Automorphism (cls, i, j) -> (cls', M*(i, j) + shift) of the infinite lattice.
 
     ``m`` is M = [[m[0], m[1]], [m[2], m[3]]] in row-major order.  ``swap``
-    exchanges the W and V classes; U vertices are never shifted, so u(0,0)
-    is fixed.  ``w_shift`` and ``v_shift`` are the shifts of the images of
-    W and V vertices.
+    exchanges the W and V classes.  ``w_shift``, ``v_shift`` and
+    ``u_shift`` are the shifts of the images of W, V and U vertices; the
+    point group keeps ``u_shift`` at (0, 0), so it fixes u(0,0).
     """
 
     m: tuple[int, int, int, int]
     swap: bool
     w_shift: tuple[int, int]
     v_shift: tuple[int, int]
+    u_shift: tuple[int, int] = (0, 0)
 
     def apply(self, x: VertexAddr) -> VertexAddr:
         m0, m1, m2, m3 = self.m
         cls = x.cls
-        di, dj = (0, 0) if cls == VClass.U else self.w_shift if cls == VClass.W else self.v_shift
+        di, dj = self.u_shift if cls == VClass.U else self.w_shift if cls == VClass.W else self.v_shift
         if self.swap and cls != VClass.U:
             cls = VClass.V if cls == VClass.W else VClass.W
         return VertexAddr(cls, m0 * x.i + m1 * x.j + di, m2 * x.i + m3 * x.j + dj)
@@ -325,21 +328,16 @@ def induces_isomorphism(g: LatticeSymmetry, rep: LatticeQuotient, q: LatticeQuot
 
 @cache
 def _is_lattice_automorphism(g: LatticeSymmetry) -> bool:
-    """|det M| = 1, and g maps the neighbours of each class root onto the
-    neighbours of the root's image (:func:`maps_root_neighbors`).
+    """|det M| = 1, and g maps the neighbours of each class root
+    ``w/u/v(0,0)`` onto the neighbours of the root's image.
 
     g acts on each class by x -> M*x + shift, and a vertex's neighbours are
     fixed offsets from it, so what holds at the roots holds at every vertex;
-    |det M| = 1 makes g a bijection of the lattice.
+    |det M| = 1 makes g a bijection of the lattice.  The answer depends on g
+    alone, so each symmetry is certified once per process.
     """
     m0, m1, m2, m3 = g.m
-    return abs(m0 * m3 - m1 * m2) == 1 and maps_root_neighbors(g.apply)
-
-
-def maps_root_neighbors(f) -> bool:
-    """True iff the vertex map f carries the neighbours of each class root
-    ``w/u/v(0,0)`` onto the neighbours of the root's image."""
-    return all(
-        {f(y) for y in tb_neighbors(root)} == set(tb_neighbors(f(root)))
+    return abs(m0 * m3 - m1 * m2) == 1 and all(
+        {g.apply(y) for y in tb_neighbors(root)} == set(tb_neighbors(g.apply(root)))
         for root in (VertexAddr(cls, 0, 0) for cls in VClass)
     )

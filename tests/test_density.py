@@ -22,7 +22,7 @@ from tumbling.density import (
     search,
     valid_quotients,
 )
-from tumbling.lattice import FamilyKind, FamilySpec, VClass, build_family
+from tumbling.lattice import FamilyKind, FamilySpec, build_family
 from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits, tb_ball
 from tumbling.solvers import _PREDICATES, InfeasibleError, ParamKind, _packing_value, verify_witness
 
@@ -324,7 +324,7 @@ def _inline_pool(monkeypatch) -> list:
 
         def map(self, fn, tasks):
             tasks = list(tasks)
-            handed_out.extend(LatticeQuotient(a, c, d) for _kind, a, c, d, _deterministic in tasks)
+            handed_out.extend(tasks)
             return map(fn, tasks)
 
     monkeypatch.setattr(density_mod, "ProcessPoolExecutor", InlinePool)
@@ -406,14 +406,16 @@ def test_packing_search_below_density_1_solves_every_representative(monkeypatch,
     assert f", {len(reps)} representatives solved, " in info[0] and "stopped" not in info[0]
 
 
-def test_pooled_packing_search_equals_the_serial_one(monkeypatch):
-    """A search on the pool solves every representative, and returns the
-    record the serial search stops at."""
-    serial = search(ParamKind.F_OP_MAX, 14, threads=1)
-    handed_out = _inline_pool(monkeypatch)
-    pooled = search(ParamKind.F_OP_MAX, 14, threads=2)
-    assert sorted(handed_out, key=lambda q: (q.det, q.a, q.c)) == _representatives(14, 2)
-    assert pooled == serial
+def test_packing_search_is_serial_under_any_thread_budget(monkeypatch, caplog):
+    """With two threads to spend, a packing search still starts no pool and
+    stops at density 1."""
+    monkeypatch.setattr(density_mod, "ProcessPoolExecutor", lambda max_workers: pytest.fail("started a pool"))
+    monkeypatch.setenv("TB_THREADS", "2")
+    with caplog.at_level(logging.INFO, logger="tumbling"):
+        rec = search(ParamKind.F_OP_MAX, 14)
+    assert rec == search(ParamKind.F_OP_MAX, 14, threads=1)
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert ", stopped at density 1 after 3 of 14 representatives, " in info[0], info[0]
 
 
 def test_perfect_open_pattern_is_the_f_op_search_winner(monkeypatch):
@@ -554,11 +556,11 @@ def test_sweep_raises_on_a_broken_half_turn(monkeypatch):
 
 def test_sweep_raises_on_a_broken_translation(monkeypatch):
     solved = _record_solves(monkeypatch)
-    real_shift = density_mod._Shift
     # a translation that moves only the W class: the arithmetic certificate
     # finds that it does not map the neighbours of w(0,0) onto those of w(1,0)
-    monkeypatch.setattr(
-        density_mod, "_Shift", lambda di, dj: lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
+    t10 = density_mod._TRANSLATIONS["translation (1,0)"]
+    monkeypatch.setitem(
+        density_mod._TRANSLATIONS, "translation (1,0)", t10._replace(v_shift=(0, 0), u_shift=(0, 0))
     )
     with pytest.raises(RuntimeError, match=r"translation \(1,0\) is not an automorphism of quotient"):
         density_sweep(ParamKind.GAMMA, 8, threads=1)
@@ -567,13 +569,24 @@ def test_sweep_raises_on_a_broken_translation(monkeypatch):
     assert solved == []
 
 
-def test_translations_are_certified_once_per_process(monkeypatch):
-    real = density_mod.maps_root_neighbors
-    certified = []
-    monkeypatch.setattr(density_mod, "maps_root_neighbors", lambda f: certified.append(f) or real(f))
-    density_mod._is_translation_automorphism.cache_clear()
+def test_translations_are_certified_once_per_process():
+    """The lattice certificate runs once per symmetry, not once per quotient.
+    A search asks for it once per orbit member and three times per solve
+    (both translations and the half turn), but its cache misses only once
+    for each point-group element that maps a representative to a member,
+    for the half turn and for each translation; a second search adds no
+    miss."""
+    quotient_mod._is_lattice_automorphism.cache_clear()
     search(ParamKind.GAMMA, 10, threads=1)
-    assert sorted(certified) == [(0, 1), (1, 0)]
+    orbits = quotient_orbits(valid_quotients(10, 1))
+    used = {g for q, (rep, g) in orbits.items() if rep != q}
+    used |= {POINT_GROUP[3], *density_mod._TRANSLATIONS.values()}
+    members = sum(rep != q for q, (rep, _g) in orbits.items())
+    solves = len(orbits) - members + 1  # every representative, then the winner again
+    first = quotient_mod._is_lattice_automorphism.cache_info()
+    assert (first.misses, first.hits + first.misses) == (len(used), members + 3 * solves)
+    search(ParamKind.GAMMA, 10, threads=1)
+    assert quotient_mod._is_lattice_automorphism.cache_info().misses == len(used)
 
 
 def _ball_search_interior(window, radius):

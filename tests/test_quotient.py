@@ -192,12 +192,12 @@ def _maps_neighbors(f, probe) -> bool:
     return all({f(y) for y in tb_neighbors(x)} == set(tb_neighbors(f(x))) for x in probe)
 
 
-def _affine(m, swap, w_shift, v_shift):
+def _affine(m, swap, w_shift, v_shift, u_shift=(0, 0)):
     """The map (cls, i, j) -> (cls', M*(i, j) + shift), written out directly."""
     def f(x):
         cls, i, j = x
         if cls == VClass.U:
-            cls2, (di, dj) = VClass.U, (0, 0)
+            cls2, (di, dj) = VClass.U, u_shift
         elif cls == VClass.W:
             cls2, (di, dj) = (VClass.V if swap else VClass.W), w_shift
         else:
@@ -225,11 +225,20 @@ def test_point_group_is_exactly_the_small_automorphisms():
 
 
 def test_point_group_apply_matches_definition():
+    """So does each block translation of the orbital roots, which shifts
+    every class by the vector in its name and maps every quotient onto
+    itself."""
+    from tumbling.density import _TRANSLATIONS
+
     probe = [x for root in ROOTS for x in tb_ball(root, 3)]
-    for g in POINT_GROUP:
+    for g in POINT_GROUP + tuple(_TRANSLATIONS.values()):
         f = _affine(*g)
         assert all(g.apply(x) == f(x) for x in probe)
-        assert g.apply(u(0, 0)) == u(0, 0)
+    assert all(g.apply(u(0, 0)) == u(0, 0) for g in POINT_GROUP)
+    assert list(_TRANSLATIONS) == ["translation (1,0)", "translation (0,1)"]
+    for (di, dj), t in zip([(1, 0), (0, 1)], _TRANSLATIONS.values()):
+        assert all(t.apply(x) == VertexAddr(x.cls, x.i + di, x.j + dj) for x in probe)
+        assert all(t.image(q) == q for q in enumerate_hnf(24))
 
 
 def test_point_group_closed_under_composition():
@@ -305,15 +314,18 @@ def test_orbit_members_are_certified_isomorphic(radius):
 
 
 def test_certificate_rejects_moved_shifts():
-    """Each point-group element with its W or its V shift moved by (1, 0) is
-    no lattice automorphism, so it certifies no quotient, not even the image
-    of its own matrix."""
+    """Each point-group element or block translation with its W, its V or
+    its U shift moved by (1, 0) is no lattice automorphism, so it certifies
+    no quotient, not even the image of its own matrix."""
+    from tumbling.density import _TRANSLATIONS
+
     for rep in (LatticeQuotient(3, 0, 3), LatticeQuotient(4, 3, 2), LatticeQuotient(5, 4, 3)):
-        for g in POINT_GROUP:
+        for g in POINT_GROUP + tuple(_TRANSLATIONS.values()):
             assert induces_isomorphism(g, rep, g.image(rep))
             for moved in (
                 g._replace(w_shift=(g.w_shift[0] + 1, g.w_shift[1])),
                 g._replace(v_shift=(g.v_shift[0] + 1, g.v_shift[1])),
+                g._replace(u_shift=(g.u_shift[0] + 1, g.u_shift[1])),
             ):
                 assert not induces_isomorphism(moved, rep, g.image(rep)), (moved, rep)
 
@@ -465,11 +477,11 @@ def _root_certificate(q) -> bool:
     return True
 
 
-def _root_maps_on_the_built_graph(q, shift, half_turn) -> bool:
+def _root_maps_on_the_built_graph(q, translations, half_turn) -> bool:
     """The same three facts checked on the built graph: both translations and
     the half turn are automorphisms, and the half turn maps W onto V."""
     g = build_quotient(q)
-    phi = [_automorphism(q, g, f) for f in (shift(1, 0), shift(0, 1), half_turn.apply)]
+    phi = [_automorphism(q, g, t.apply) for t in (*translations.values(), half_turn)]
     det = q.det
     return all(p is not None for p in phi) and sorted(phi[2][:det]) == list(range(2 * det, 3 * det))
 
@@ -488,22 +500,21 @@ def test_root_certificate_agrees_with_the_built_graphs(radius, monkeypatch):
 
     quots = [q for q in enumerate_hnf(24) if validate_quotient(q, radius)]
     assert len(quots) == {1: 421, 2: 296}[radius]
-    real_shift = density_mod._Shift
-
-    def w_only(di, dj):
-        return lambda x: real_shift(di, dj)(x) if x.cls == VClass.W else x
+    real = density_mod._TRANSLATIONS
+    # translations that move only the W class
+    w_only = {name: t._replace(v_shift=(0, 0), u_shift=(0, 0)) for name, t in real.items()}
 
     rot = POINT_GROUP[3]
     small = {1: [LatticeQuotient(3, 2, 1)], 2: []}[radius]
     variants = [
-        (real_shift, rot, quots),
+        (real, rot, quots),
         (w_only, rot, small),
-        (real_shift, rot._replace(w_shift=(0, 0)), small),
-        (real_shift, rot._replace(swap=False), []),
+        (real, rot._replace(w_shift=(0, 0)), small),
+        (real, rot._replace(swap=False), []),
     ]
-    for shift, half_turn, graph_passes in variants:
-        monkeypatch.setattr(density_mod, "_Shift", shift)
+    for translations, half_turn, graph_passes in variants:
+        monkeypatch.setattr(density_mod, "_TRANSLATIONS", translations)
         monkeypatch.setattr(quotient_mod, "POINT_GROUP", POINT_GROUP[:3] + (half_turn,) + POINT_GROUP[4:])
         certified = [q for q in quots if _root_certificate(q)]
-        assert certified == (quots if half_turn == rot and shift is real_shift else []), half_turn
-        assert [q for q in quots if _root_maps_on_the_built_graph(q, shift, half_turn)] == graph_passes
+        assert certified == (quots if half_turn == rot and translations is real else []), half_turn
+        assert [q for q in quots if _root_maps_on_the_built_graph(q, translations, half_turn)] == graph_passes
