@@ -34,7 +34,15 @@ counts, and the optimizing witness among equal optima, may differ.
 The pack search reads a conflict table (``conflicts``: which vertices'
 coverage masks overlap).  Both packing kernels take it as ``conf``;
 ``solvers`` builds it once per solve and hands it to the proof and to every
-call of the canonical pass.
+call of the canonical pass.  It closes a node by two upper bounds on what
+the subtree can still cover: the union of the available vertices' gains,
+and the best single gain times ``cap - count``, the vertices that may still
+join under the size cap.  The cap bound removes only subtrees holding no set
+that beats the bound and leaves the depth-first order alone, so every
+feasibility call returns the same mask as without it; it pays in the
+canonical pass, whose calls cap the size.  A proof's cap is n, and there
+the union, at most ``n - count`` gains, always closes first: proof node
+counts are the plain union bound's.
 
 Every search runs from ``roots``, ``(forced, banned)`` vertex masks searched
 in turn against the one bound; a feasibility kernel has the one root of its
@@ -266,7 +274,10 @@ def _pack_search(
                 raise _Found
         if count >= cap:
             return
-        # optimistic bound: everything still coverable gets covered
+        # optimistic bounds (module docstring): everything still coverable
+        # gets covered; and each of the cap - count vertices that may still
+        # join covers at most the best gain.  As weight <= bound here, both
+        # close a node with nothing left to branch on.
         union = 0
         am = avail
         branch = -1
@@ -281,7 +292,7 @@ def _pack_search(
             if g > branch_gain:
                 branch_gain = g
                 branch = b
-        if branch < 0 or weight + union.bit_count() <= bound:
+        if weight + union.bit_count() <= bound or weight + (cap - count) * branch_gain <= bound:
             return
         bit = 1 << branch
         rec(avail & ~bit & ~conf[branch], covered | cov[branch], chosen | bit, count + 1)
@@ -324,7 +335,9 @@ def pack_feasible(
     """A conflict-free S >= forced avoiding banned with coverage >= target
     (and, when given, |S| <= size_cap): the mask of one such S, or None when
     there is none.  The empty set (mask 0) is a witness whenever target <= 0.
-    ``conf``, when given, is ``conflicts(cov)``, so that the many calls
-    of one canonical pass build it once."""
+    A node closes once its ``size_cap - count`` remaining vertices, each
+    covering at most the best gain, cannot reach ``target`` (module
+    docstring).  ``conf``, when given, is ``conflicts(cov)``, so that the
+    many calls of one canonical pass build it once."""
     cap = n if size_cap is None else size_cap
     return _pack_search(n, cov, conf, ((forced, banned),), target - 1, cap, True)[1]

@@ -1,12 +1,14 @@
 """Command-line interface: generate, solve, search densities, verify, render.
 
-Exit codes: 0 success, 1 infeasible or not found, 2 usage or parse errors.
+Exit codes: 0 success, 1 infeasible or not found, 2 usage or parse errors,
+141 (``EXIT_BROKEN_PIPE``) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -62,6 +64,12 @@ DENSITY_TARGETS = {
     ParamKind.F_MAX: ("11/12 <= f < 1", lambda d: Fraction(11, 12) <= d < 1),
     ParamKind.F_OP_MAX: ("f = 1", lambda d: d == 1),
 }
+
+
+#: Exit status when stdout's reader is gone: 128 + SIGPIPE, as a shell
+#: reports a writer that the closed pipe killed.  Any ``--emit`` record was
+#: written before the first line of output.
+EXIT_BROKEN_PIPE = 141
 
 
 #: Largest det a density record may name, and the largest ``tb density
@@ -199,15 +207,7 @@ def cmd_solve(args) -> int:
     if args.emit:
         _check_emittable(g)
     result = brute_force(g, kind) if args.brute else solve(g, kind)
-    print(f"{kind.value} = {result.value}")
-    print(f"witness: {_vertex_names(g, result.witness)}")
-    ok = verify_witness(g, kind, result.witness, result.value)
-    print(f"verification: {'OK' if ok else 'FAIL'}")
-    print(
-        f"stats: nodes={result.stats.nodes} elapsed={result.stats.elapsed:.3f}s "
-        f"proof={result.stats.proof_s:.3f}s canon={result.stats.canon_s:.3f}s "
-        f"canon_calls={result.stats.canon_calls} backend={backend_name()}"
-    )
+    # the record first, so that a reader closing stdout early cannot lose it
     if args.emit:
         _emit(
             {
@@ -220,6 +220,15 @@ def cmd_solve(args) -> int:
             },
             args.emit,
         )
+    print(f"{kind.value} = {result.value}")
+    print(f"witness: {_vertex_names(g, result.witness)}")
+    ok = verify_witness(g, kind, result.witness, result.value)
+    print(f"verification: {'OK' if ok else 'FAIL'}")
+    print(
+        f"stats: nodes={result.stats.nodes} elapsed={result.stats.elapsed:.3f}s "
+        f"proof={result.stats.proof_s:.3f}s canon={result.stats.canon_s:.3f}s "
+        f"canon_calls={result.stats.canon_calls} backend={backend_name()}"
+    )
     return 0 if ok else 1
 
 
@@ -230,14 +239,14 @@ def cmd_density(args) -> int:
     if args.max_det > MAX_RECORD_DET:
         raise ValueError(f"--max-det is capped at {MAX_RECORD_DET}, got {args.max_det}")
     record = search(kind, args.max_det)
+    if args.emit:
+        _emit(_density_payload(record), args.emit)
     q = record.quotient
     print(f"{kind.value} best density: {record.density}")
     print(f"quotient: a={q.a} c={q.c} d={q.d} (det={q.det}, {3 * q.det} vertices)")
     print(f"pattern: {', '.join(str(a) for a in record.witness_addresses())}")
     label, good = DENSITY_TARGETS[kind]
     print(f"target: {label} -> {'met' if good(record.density) else 'NOT met'}")
-    if args.emit:
-        _emit(_density_payload(record), args.emit)
     return 0
 
 
@@ -394,9 +403,6 @@ def cmd_hamilton(args) -> int:
     if args.emit:
         _check_emittable(g)
     a, b, balanced = bipartite_balance(g)
-    print(f"bipartition sizes: {a}, {b} ({'balanced' if balanced else 'unbalanced'})")
-    if not balanced:
-        print("unbalanced bipartition: no hamiltonian cycle")
     cert = None
     if args.cut:
         ci, cj = (int(x) for x in args.cut.split(","))
@@ -404,19 +410,8 @@ def cmd_hamilton(args) -> int:
         missing = [a_ for a_ in addrs if not g.has_label(a_)]
         if missing:
             raise ValueError(f"cut vertices outside graph: {missing[:3]} ...")
-        S = [g.index_of(a_) for a_ in addrs]
-        cert = verify_cut(g, S)
-        print(
-            f"cut of {len(S)} vertices leaves {cert.components_after} components, "
-            f"{cert.isolated_after} isolated"
-        )
-        print(f"certificate: {'valid (components > removed)' if cert.certifies else 'inconclusive'}")
-    if args.search:
-        cycle = find_hamiltonian_cycle(g)
-        if cycle is None:
-            print("exhaustive search: no hamiltonian cycle")
-        else:
-            print(f"hamiltonian cycle: {_vertex_names(g, cycle)}")
+        cert = verify_cut(g, [g.index_of(a_) for a_ in addrs])
+    # the record first, as in cmd_solve
     if args.emit and cert is not None:
         _emit(
             {
@@ -428,6 +423,21 @@ def cmd_hamilton(args) -> int:
             },
             args.emit,
         )
+    print(f"bipartition sizes: {a}, {b} ({'balanced' if balanced else 'unbalanced'})")
+    if not balanced:
+        print("unbalanced bipartition: no hamiltonian cycle")
+    if cert is not None:
+        print(
+            f"cut of {len(cert.removed)} vertices leaves {cert.components_after} components, "
+            f"{cert.isolated_after} isolated"
+        )
+        print(f"certificate: {'valid (components > removed)' if cert.certifies else 'inconclusive'}")
+    if args.search:
+        cycle = find_hamiltonian_cycle(g)
+        if cycle is None:
+            print("exhaustive search: no hamiltonian cycle")
+        else:
+            print(f"hamiltonian cycle: {_vertex_names(g, cycle)}")
     return 0
 
 
@@ -506,7 +516,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flushed here, so that a closed pipe raises below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (`tb ... | head`): send the unflushed
+        # rest to os.devnull, as Python's SIGPIPE notes advise, so that the
+        # flush at exit prints no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InfeasibleError, NoValidQuotientError, DegenerateQuotientError, NotBipartiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

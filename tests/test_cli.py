@@ -1,12 +1,16 @@
 """End-to-end command-line interface behavior and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from tumbling import __version__, backend_name
-from tumbling.cli import main
+from tumbling.cli import EXIT_BROKEN_PIPE, main
 
 
 def run(capsys, *argv):
@@ -129,6 +133,66 @@ def test_verify_rejects_tampered_record(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(rec))
     assert code == 1
     assert "FAIL" in out
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone: every write raises BrokenPipeError.
+    Its descriptor is a scratch file's, which main points at os.devnull."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "tbt", "--rows", "1", "--param", "ld"],
+        ["density", "--param", "gamma-op", "--max-det", "6"],
+        ["hamilton", "--family", "tbp", "--rows", "7", "--cols", "7", "--cut", "4,4"],
+    ],
+    ids=["solve", "density", "hamilton"],
+)
+def test_closed_stdout_ends_quietly_after_the_record(capsys, monkeypatch, tmp_path, argv):
+    rec = tmp_path / "rec.json"
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main([*argv, "--emit", str(rec)])
+        monkeypatch.undo()
+    assert code == EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""
+    code, out, _ = run(capsys, "verify", "--input", str(rec))
+    assert (code, out) == (0, "OK\n")
+
+
+def test_closed_pipe_at_exit_prints_nothing(tmp_path):
+    """A real pipe whose reader left before the first write: output is
+    buffered until exit, and that flush raises no second error either."""
+    import tumbling
+
+    src = str(Path(tumbling.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONUNBUFFERED": "",
+    }
+    rec = tmp_path / "rec.json"
+    argv = ["solve", "--family", "tbt", "--rows", "1", "--param", "ld", "--emit", str(rec)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tumbling.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")
+    assert main(["verify", "--input", str(rec)]) == 0
 
 
 def test_malformed_input_exit_2(capsys, tmp_path):

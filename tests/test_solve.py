@@ -555,6 +555,44 @@ def test_optimizing_kernel_roots_contract(kernel):
     assert cover_nodes <= PLAIN_COVER_NODES
 
 
+def test_pack_search_closes_a_node_its_size_cap_cannot_lift():
+    """Three disjoint triples and six singletons: everything is coverable,
+    but two vertices cover at most 2 * 3 = 6, so a search for more than 6
+    under cap 2 closes at its root (it took 13 nodes before the rule)."""
+    cov = [0b111, 0b111 << 3, 0b111 << 6] + [1 << i for i in range(3, 9)]
+    assert _kernels_py._pack_search(9, cov, None, ((0, 0),), 6, 2, True) == (6, None, 1)
+    assert _kernels_py.pack_feasible(9, cov, 0, 0, 6, 2) == 0b11
+
+
+#: F and F-OP on TBP 4x4 and q(4,0,4): nodes of the canonical pass's
+#: feasibility searches, 64,103 before the size-cap bound; and proof nodes,
+#: which the bound never changes (a proof's cap is n)
+CANON_PACK_NODES = 5_923
+PROOF_PACK_NODES = 37_490
+
+
+def test_canonical_packing_nodes_are_pinned(monkeypatch):
+    """Node counts do not depend on the machine, so a lost prune in the
+    size-capped packing searches shows here as a count."""
+    from tumbling.lattice import FamilyKind, FamilySpec, build_family
+
+    search = _kernels_py._pack_search
+    canon_nodes = []
+
+    def counting(*args):
+        found = search(*args)
+        if args[-1]:  # first=True: a feasibility call
+            canon_nodes.append(found[2])
+        return found
+
+    monkeypatch.setattr(_kernels_py, "_pack_search", counting)
+    proof_nodes = 0
+    for g in (build_family(FamilySpec(FamilyKind.TBP, 4, 4)), build_quotient(LatticeQuotient(4, 0, 4))):
+        for kind in (ParamKind.F_MAX, ParamKind.F_OP_MAX):
+            proof_nodes += solve(g, kind).stats.nodes
+    assert (sum(canon_nodes), proof_nodes) == (CANON_PACK_NODES, PROOF_PACK_NODES)
+
+
 def test_import_ignores_a_backend_request_in_the_environment():
     """No variable selects the kernels: with TB_BACKEND=compiled, which once
     demanded an extension that was never built, the package still imports."""
