@@ -8,12 +8,13 @@ density search, and non-Hamiltonicity certificates.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from ._backend import backend_name
 from .density import (
     DensityRecord,
     NoValidQuotientError,
     density_sweep,
-    f_fraction,
     lift_check,
     min_density,
     perfect_open_pattern,
@@ -49,7 +50,6 @@ from .quotient import (
     validate_quotient,
 )
 from .shares import (
-    Rational,
     ShareReport,
     check_ld_pn_bound,
     check_open_share_cap,
@@ -72,16 +72,12 @@ from .solvers import (
     is_ld_set,
     is_old_set,
     is_open_dominating,
-    max_efficient,
-    max_efficient_open,
-    min_dominating,
-    min_ic,
-    min_ld,
-    min_old,
-    min_open_dominating,
     open_twins,
     solve,
     verify_witness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported API names, not the submodules that importing them binds here
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

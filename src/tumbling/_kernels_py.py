@@ -25,11 +25,12 @@ the vertices still needed by a greedy packing: ``lb`` unhit requirements
 with pairwise disjoint candidate sets, with union ``used``.  When that
 leaves no slack (``count + lb + 1`` equals the bound), a set the subtree
 may still keep adds one vertex in each packed requirement and none outside
-``used``.  The node then restricts every unhit requirement to ``used``,
-closes if one has no candidate left, and branches on the narrowest.  The
-rule removes only subtrees holding no set that beats the bound, so optima,
-infeasibility verdicts and canonical witnesses are the plain search's; node
-counts, and the optimizing witness among equal optima, may differ.
+``used``.  The node then restricts every unhit requirement to ``used``
+(each meets it: the packing took every one that missed it) and branches on
+the narrowest.  The rule removes only subtrees holding no set that beats
+the bound, so optima, infeasibility verdicts and canonical witnesses are
+the plain search's; node counts, and the optimizing witness among equal
+optima, may differ.
 
 The pack search reads a conflict table (``conflicts``: which vertices'
 coverage masks overlap).  Both packing kernels take it as ``conf``;
@@ -95,21 +96,10 @@ def _greedy_cover(masks: list[int], forced: int, banned: int) -> int | None:
 def _tight(unhit: list[int], used: int) -> tuple[list[int], int]:
     """Restrict each unhit candidate set to ``used``, the union of a packing
     that leaves no slack.  Returns the restricted sets and the narrowest of
-    them to branch on (the first in scan order among equals), or a branch of
-    0 when some set has no candidate in ``used``, which closes the node."""
-    restricted = []
-    branch_req = 0
-    branch_width = used.bit_count() + 1
-    for m in unhit:
-        cand = m & used
-        if cand == 0:
-            return restricted, 0
-        restricted.append(cand)
-        width = cand.bit_count()
-        if width < branch_width:
-            branch_width = width
-            branch_req = cand
-    return restricted, branch_req
+    them to branch on (the first in scan order among equals).  The packing
+    took every unhit set that missed it, so no restricted set is empty."""
+    restricted = [m & used for m in unhit]
+    return restricted, min(restricted, key=int.bit_count)
 
 
 class _Found(Exception):
@@ -163,8 +153,6 @@ def _cover_search(
             # tight packing (module docstring): the children see only the
             # restricted sets, so no vertex outside used enters the subtree
             unhit, branch_req = _tight(unhit, used)
-            if not branch_req:
-                return
         cand = branch_req
         while cand:
             low = cand & -cand

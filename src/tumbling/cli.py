@@ -19,7 +19,6 @@ from .density import (
     DensityRecord,
     NoValidQuotientError,
     lift_check,
-    required_radius,
     search,
 )
 from .formats import (
@@ -362,19 +361,19 @@ def _verify_density_record(payload: dict) -> bool:
     if q.det > MAX_RECORD_DET:
         raise ParseError(f"a density record's det is at most {MAX_RECORD_DET}, got {q.det}")
     kind = ParamKind(payload["param"])
-    # every producer records exactly the kind's radius; a larger one would
-    # only make validation slower (its offset table grows with the radius)
     radius = _field(payload, "validated_radius")
+    size = _field(payload, "size")
+    density = _fraction(payload, "density")
     record = DensityRecord(
         kind=kind,
         quotient=q,
-        size=_field(payload, "size"),
-        density=_fraction(payload, "density"),
+        size=size,
         witness=tuple(_int_list(payload, "witness")),
-        validated_radius=radius,
         exact_cover=_field(payload, "exact_cover", bool) if "exact_cover" in payload else False,
     )
-    if radius != required_radius(kind) or not validate_quotient(q, radius):
+    # every producer records exactly the kind's radius; a larger one would
+    # only make validation slower (its offset table grows with the radius)
+    if radius != record.validated_radius or not validate_quotient(q, radius):
         return False
     g = build_quotient(q)
     # an exact cover's size is its pattern size, and it covers all n vertices
@@ -383,7 +382,7 @@ def _verify_density_record(payload: dict) -> bool:
         return False
     if record.exact_cover and len(record.witness) != record.size:
         return False
-    if record.density != Fraction(record.size, 3 * q.det):
+    if density != record.density:
         return False
     return lift_check(record, 12, 12)
 

@@ -63,7 +63,7 @@ from .quotient import (
     tb_ball,
     validate_quotient,
 )
-from .solvers import _PREDICATES, ParamKind, SolveStats, _packing_value, solve, verify_witness
+from .solvers import ParamKind, SolveStats, _objective, solve, verify_witness
 
 _log = logging.getLogger("tumbling")
 
@@ -97,21 +97,30 @@ class DensityRecord:
     """One solved quotient: pattern, its exact density, and validation radius.
 
     ``size`` is the solver objective (set size for minimization kinds,
-    covered count for maximization kinds) and ``density`` is always
-    size / (3 * det).  ``exact_cover`` marks perfect open-domination
-    patterns, whose recorded size is the pattern size instead.  ``stats`` is
-    the work of the solve that produced the record (for a carried record,
-    its representative's solve); it takes no part in comparison or hashing.
+    covered count for maximization kinds).  ``exact_cover`` marks perfect
+    open-domination patterns, whose recorded size is the pattern size
+    instead.  ``stats`` is the work of the solve that produced the record
+    (for a carried record, its representative's solve); it takes no part in
+    comparison or hashing.
     """
 
     kind: ParamKind
     quotient: LatticeQuotient
     size: int
-    density: Fraction
     witness: tuple[int, ...]
-    validated_radius: int
     exact_cover: bool = False
     stats: SolveStats | None = field(default=None, compare=False)
+
+    @property
+    def density(self) -> Fraction:
+        """size / (3 * det), the pattern's density on the lattice."""
+        return Fraction(self.size, 3 * self.quotient.det)
+
+    @property
+    def validated_radius(self) -> int:
+        """The radius the quotient is validated at: the kind's
+        :func:`required_radius`."""
+        return required_radius(self.kind)
 
     def witness_addresses(self) -> tuple[VertexAddr, ...]:
         labels = quotient_labels(self.quotient)
@@ -141,15 +150,7 @@ def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) ->
     ``required_radius(kind)``, searching only the orbital root branches."""
     roots = _orbit_roots(q)
     res = solve(build_quotient(q), kind, deterministic=deterministic, _roots=roots)
-    return DensityRecord(
-        kind=kind,
-        quotient=q,
-        size=res.value,
-        density=Fraction(res.value, 3 * q.det),
-        witness=res.witness,
-        validated_radius=required_radius(kind),
-        stats=res.stats,
-    )
+    return DensityRecord(kind=kind, quotient=q, size=res.value, witness=res.witness, stats=res.stats)
 
 
 def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what: str) -> list[int]:
@@ -332,15 +333,7 @@ def _carry_record(rec: DensityRecord, src: FiniteGraph, q: LatticeQuotient, g: L
     witness = tuple(sorted(phi[x] for x in rec.witness))
     if not verify_witness(dst, rec.kind, witness, rec.size):
         raise RuntimeError(f"witness carried from {rec.quotient} fails re-verification on {q}")
-    return DensityRecord(
-        kind=rec.kind,
-        quotient=q,
-        size=rec.size,
-        density=rec.density,
-        witness=witness,
-        validated_radius=rec.validated_radius,
-        stats=rec.stats,
-    )
+    return replace(rec, quotient=q, witness=witness)
 
 
 def search(kind: ParamKind, max_det: int, threads: int | None = None) -> DensityRecord:
@@ -374,11 +367,6 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
     return _solve_quotient(kind, best.quotient, deterministic=True)
 
 
-def f_fraction(q: LatticeQuotient) -> DensityRecord:
-    """Fraction of the quotient dominated exactly once by the best packing."""
-    return min_density(ParamKind.F_MAX, q)
-
-
 def perfect_open_pattern(max_det: int) -> DensityRecord:
     """Smallest validated quotient whose open neighborhoods admit an exact cover.
 
@@ -392,8 +380,7 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
         raise NoValidQuotientError(
             f"no exact open cover found on validated quotients with det <= {max_det}"
         )
-    size = len(rec.witness)
-    return replace(rec, size=size, density=Fraction(size, 3 * rec.quotient.det), exact_cover=True)
+    return replace(rec, size=len(rec.witness), exact_cover=True)
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +442,6 @@ def lift_check(record: DensityRecord, window_r: int, window_s: int) -> bool:
     window = _lift_window(window_r, window_s)
     lifted = frozenset(k for k, (cls, i, j) in enumerate(window.labels) if q.index(cls, i, j) in pattern)
     interior = _window_interior(window_r, window_s, radius)
-    kind = record.kind
-    if kind.minimizes:
-        return _PREDICATES[kind](window, lifted, on=interior)
-    covered = _packing_value(window, lifted, closed=(kind == ParamKind.F_MAX), on=interior)
+    value = _objective(window, record.kind, lifted, on=interior)
     # an exact cover hits every interior vertex exactly once
-    return covered is not None and (not record.exact_cover or covered == len(interior))
+    return value is not None and (not record.exact_cover or value == len(interior))

@@ -14,53 +14,49 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import FiniteGraph
-from .solvers import is_dominating, is_ld_set, is_old_set, is_open_dominating
+from .solvers import _closed_code, _open_code, is_dominating, is_ld_set, is_old_set, is_open_dominating
 
-#: Exact rational number type used for shares, open shares, and densities.
-Rational = Fraction
+
+def _member(g: FiniteGraph, D: Iterable[int], v: int, what: str) -> frozenset:
+    """D as a checked vertex set, after checking that v is in it."""
+    D = g.check_vertex_set(D)
+    if v not in D:
+        raise ValueError(f"vertex {v} is not in the {what} set")
+    return D
+
+
+def _require(holds: bool, what: str) -> None:
+    if not holds:
+        raise ValueError(f"set is not {what}")
 
 
 def private_neighbors(g: FiniteGraph, D: Iterable[int], v: int) -> tuple[int, ...]:
-    """Vertices dominated solely by v: all u with N[u] & D == {v}."""
-    D = g.check_vertex_set(D)
-    if v not in D:
-        raise ValueError(f"vertex {v} is not in the dominating set")
-    out = []
-    for uu in range(g.n):
-        dominators = {x for x in g.adj[uu] if x in D}
-        if uu in D:
-            dominators.add(uu)
-        if dominators == {v}:
-            out.append(uu)
-    return tuple(out)
+    """Vertices dominated solely by v: all u with N[u] & D == {v}.  Each of
+    them is in N[v]."""
+    D = _member(g, D, v, "dominating")
+    return tuple(sorted(u for u in (v, *g.adj[v]) if _closed_code(g, D, u) == {v}))
+
+
+def _share(g: FiniteGraph, D: frozenset, v: int) -> Fraction:
+    return sum((Fraction(1, len(_closed_code(g, D, w))) for w in (v, *g.adj[v])), Fraction(0))
+
+
+def _open_share(g: FiniteGraph, D: frozenset, v: int) -> Fraction:
+    return sum((Fraction(1, len(_open_code(g, D, w))) for w in g.adj[v]), Fraction(0))
 
 
 def share(g: FiniteGraph, D: Iterable[int], v: int) -> Fraction:
     """sh(v; D): sum over w in N[v] of 1 / |D & N[w]|, exactly."""
-    D = g.check_vertex_set(D)
-    if v not in D:
-        raise ValueError(f"vertex {v} is not in the dominating set")
-    if not is_dominating(g, D):
-        raise ValueError("set is not dominating")
-    total = Fraction(0)
-    for w in list(g.adj[v]) + [v]:
-        k = sum(1 for x in g.adj[w] if x in D) + (1 if w in D else 0)
-        total += Fraction(1, k)
-    return total
+    D = _member(g, D, v, "dominating")
+    _require(is_dominating(g, D), "dominating")
+    return _share(g, D, v)
 
 
 def open_share(g: FiniteGraph, D: Iterable[int], v: int) -> Fraction:
     """sh_o(v; D): sum over w in N(v) of 1 / |N(w) & D|, exactly."""
-    D = g.check_vertex_set(D)
-    if v not in D:
-        raise ValueError(f"vertex {v} is not in the open-dominating set")
-    if not is_open_dominating(g, D):
-        raise ValueError("set is not open-dominating")
-    total = Fraction(0)
-    for w in g.adj[v]:
-        k = sum(1 for x in g.adj[w] if x in D)
-        total += Fraction(1, k)
-    return total
+    D = _member(g, D, v, "open-dominating")
+    _require(is_open_dominating(g, D), "open-dominating")
+    return _open_share(g, D, v)
 
 
 @dataclass(frozen=True)
@@ -76,7 +72,11 @@ class ShareReport:
 def share_report(g: FiniteGraph, D: Iterable[int], open_variant: bool = False) -> ShareReport:
     """All shares (or open shares) of D plus private-neighbor lists."""
     D = g.check_vertex_set(D)
-    fn = open_share if open_variant else share
+    if open_variant:
+        _require(is_open_dominating(g, D), "open-dominating")
+    else:
+        _require(is_dominating(g, D), "dominating")
+    fn = _open_share if open_variant else _share
     shares = {v: fn(g, D, v) for v in sorted(D)}
     private = {} if open_variant else {v: private_neighbors(g, D, v) for v in sorted(D)}
     return ShareReport(
@@ -94,12 +94,12 @@ def check_open_share_cap(g: FiniteGraph, S: Iterable[int]) -> dict[int, Fraction
     cap for open-locating-dominating sets and is raised as an error.
     """
     S = g.check_vertex_set(S)
-    if not is_old_set(g, S):
-        raise ValueError("set is not open-locating-dominating")
+    # an OLD set gives every vertex a nonempty open code: it open-dominates
+    _require(is_old_set(g, S), "open-locating-dominating")
     margins = {}
     for v in sorted(S):
         bound = 1 + Fraction(g.degree(v) - 1, 2)
-        margins[v] = bound - open_share(g, S, v)
+        margins[v] = bound - _open_share(g, S, v)
         if margins[v] < 0:
             raise AssertionError(
                 f"open-share cap violated at {v}: share exceeds {bound}"
@@ -114,12 +114,10 @@ def check_ld_pn_bound(g: FiniteGraph, S: Iterable[int]) -> dict[int, int]:
     neighbors of v would share the code {v}); violations raise.
     """
     S = g.check_vertex_set(S)
-    if not is_ld_set(g, S):
-        raise ValueError("set is not locating-dominating")
+    _require(is_ld_set(g, S), "locating-dominating")
     counts = {}
     for v in sorted(S):
-        pn = set(private_neighbors(g, S, v))
-        counts[v] = len(pn & set(g.adj[v]))
+        counts[v] = sum(u != v for u in private_neighbors(g, S, v))
         if counts[v] > 1:
             raise AssertionError(f"vertex {v} has {counts[v]} private neighbors in N(v)")
     return counts

@@ -69,11 +69,7 @@ class SolveResult:
     kind: ParamKind
     value: int
     witness: tuple[int, ...]
-    optimal: bool
     stats: SolveStats
-
-    def witness_labels(self, g: FiniteGraph):
-        return tuple(g.labels[v] for v in self.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +99,7 @@ def is_open_dominating(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[i
 
 
 def _open_code(g: FiniteGraph, S: frozenset, v: int) -> frozenset:
-    return frozenset(u for u in g.adj[v] if u in S)
+    return S.intersection(g.adj[v])
 
 
 def _closed_code(g: FiniteGraph, S: frozenset, v: int) -> frozenset:
@@ -140,22 +136,6 @@ def is_old_set(g: FiniteGraph, S: Iterable[int], on: Optional[Iterable[int]] = N
     N(v) & S."""
     S = g.check_vertex_set(S)
     return _distinct_codes(_open_code(g, S, v) for v in _checked(g, on))
-
-
-def _packing_value(
-    g: FiniteGraph, S: frozenset, closed: bool, on: Optional[Iterable[int]] = None
-) -> Optional[int]:
-    """Covered-vertex count if S dominates each vertex (of ``on``, when given)
-    at most once, else None."""
-    covered = 0
-    for v in _checked(g, on):
-        hits = sum(1 for u in g.adj[v] if u in S)
-        if closed and v in S:
-            hits += 1
-        if hits > 1:
-            return None
-        covered += hits
-    return covered
 
 
 def _twins(masks: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -210,40 +190,35 @@ def _cover_requirements(g: FiniteGraph, kind: ParamKind) -> list[int]:
     """Hitting-set masks whose minimum hitting sets are exactly the optima.
 
     Domination becomes one mask per vertex.  Code distinctness becomes one
-    mask per vertex pair with intersecting neighborhoods: the symmetric
-    difference of the neighborhoods separates the codes, and for LD the pair
-    is also settled by putting either endpoint into the set.  Pairs with
-    disjoint neighborhoods are separated automatically once both are
-    dominated, so they are omitted.
+    mask per vertex pair with intersecting code masks: their symmetric
+    difference separates the codes, and for LD the pair is also settled by
+    putting either endpoint into the set.  Pairs with disjoint code masks
+    are separated automatically once both are dominated, so they are
+    omitted.
     """
     closed = g.closed_masks()
     opened = g.open_masks()
-    if kind == ParamKind.GAMMA:
-        return list(closed)
-    if kind == ParamKind.GAMMA_OP:
-        return list(opened)
-    if kind == ParamKind.LD:
-        reqs = list(closed)
-        for a in range(g.n):
-            for b in range(a + 1, g.n):
-                if opened[a] & opened[b]:
-                    reqs.append((opened[a] ^ opened[b]) | (1 << a) | (1 << b))
-        return reqs
-    if kind == ParamKind.IC:
-        reqs = list(closed)
-        for a in range(g.n):
-            for b in range(a + 1, g.n):
-                if closed[a] & closed[b]:
-                    reqs.append(closed[a] ^ closed[b])
-        return reqs
-    if kind == ParamKind.OLD:
-        reqs = list(opened)
-        for a in range(g.n):
-            for b in range(a + 1, g.n):
-                if opened[a] & opened[b]:
-                    reqs.append(opened[a] ^ opened[b])
-        return reqs
-    raise ValueError(f"{kind} is not a covering parameter")
+    # kind -> (masks to dominate, code masks of the pairs to separate)
+    try:
+        dominate, codes = {
+            ParamKind.GAMMA: (closed, ()),
+            ParamKind.GAMMA_OP: (opened, ()),
+            ParamKind.LD: (closed, opened),
+            ParamKind.IC: (closed, closed),
+            ParamKind.OLD: (opened, opened),
+        }[kind]
+    except KeyError:
+        raise ValueError(f"{kind} is not a covering parameter") from None
+    n = len(codes)
+    # the endpoint bits of LD's pairs; no other kind's pair masks have any
+    ends = [1 << v for v in range(n)] if kind == ParamKind.LD else [0] * n
+    reqs = list(dominate)
+    for a in range(n):
+        code, end = codes[a], ends[a]
+        for b in range(a + 1, n):
+            if code & codes[b]:
+                reqs.append((code ^ codes[b]) | end | ends[b])
+    return reqs
 
 
 _PREDICATES = {
@@ -255,13 +230,31 @@ _PREDICATES = {
 }
 
 
-def verify_witness(g: FiniteGraph, kind: ParamKind, witness: Iterable[int], value: int) -> bool:
-    """Re-check a claimed witness against the defining predicate and value."""
-    S = g.check_vertex_set(witness)
+def _objective(
+    g: FiniteGraph, kind: ParamKind, S: frozenset, on: Optional[Iterable[int]] = None
+) -> Optional[int]:
+    """The kind's objective of the vertex set S if S meets the kind's
+    definition on the vertices ``on`` (all of g by default), else None.
+
+    For a minimizing kind that is |S| when the kind's predicate holds.  For
+    a packing it is the covered count when S dominates each vertex at most
+    once: by closed neighborhoods for F, by open ones for F-OP.
+    """
     if kind.minimizes:
-        return len(S) == value and _PREDICATES[kind](g, S)
-    covered = _packing_value(g, S, closed=(kind == ParamKind.F_MAX))
-    return covered == value
+        return len(S) if _PREDICATES[kind](g, S, on) else None
+    code = _closed_code if kind == ParamKind.F_MAX else _open_code
+    covered = 0
+    for v in _checked(g, on):
+        hits = len(code(g, S, v))
+        if hits > 1:
+            return None
+        covered += hits
+    return covered
+
+
+def verify_witness(g: FiniteGraph, kind: ParamKind, witness: Iterable[int], value: int) -> bool:
+    """Re-check a claimed witness against the kind's definition and value."""
+    return _objective(g, kind, g.check_vertex_set(witness)) == value
 
 
 # ---------------------------------------------------------------------------
@@ -465,45 +458,17 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
         canon_s=t_end - t_canon if deterministic else 0.0,
         canon_calls=calls,
     )
-    return SolveResult(kind=kind, value=value, witness=witness, optimal=True, stats=stats)
-
-
-def min_dominating(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.GAMMA, deterministic)
-
-
-def min_open_dominating(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.GAMMA_OP, deterministic)
-
-
-def min_ld(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.LD, deterministic)
-
-
-def min_ic(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.IC, deterministic)
-
-
-def min_old(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.OLD, deterministic)
-
-
-def max_efficient(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.F_MAX, deterministic)
-
-
-def max_efficient_open(g: FiniteGraph, deterministic: bool = True) -> SolveResult:
-    return solve(g, ParamKind.F_OP_MAX, deterministic)
+    return SolveResult(kind=kind, value=value, witness=witness, stats=stats)
 
 
 def has_efficient_dominating(g: FiniteGraph) -> bool:
     """True iff some packing dominates every vertex exactly once."""
-    return max_efficient(g, deterministic=False).value == g.n
+    return solve(g, ParamKind.F_MAX, deterministic=False).value == g.n
 
 
 def has_efficient_open_dominating(g: FiniteGraph) -> bool:
     """True iff the open neighborhoods of some set partition the vertices."""
-    return max_efficient_open(g, deterministic=False).value == g.n
+    return solve(g, ParamKind.F_OP_MAX, deterministic=False).value == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +483,19 @@ def brute_force(g: FiniteGraph, kind: ParamKind) -> SolveResult:
     _check_feasible(g, kind)
     checked = 0
     if kind.minimizes:
-        predicate = _PREDICATES[kind]
         for k in range(g.n + 1):
             for S in combinations(range(g.n), k):
                 checked += 1
-                if predicate(g, frozenset(S)):
-                    return SolveResult(
-                        kind=kind,
-                        value=k,
-                        witness=S,
-                        optimal=True,
-                        stats=SolveStats(checked, time.perf_counter() - t0),
-                    )
+                if _objective(g, kind, frozenset(S)) is not None:
+                    return SolveResult(kind, k, S, SolveStats(checked, time.perf_counter() - t0))
         raise InfeasibleError(f"{kind.value}: no feasible set exists")
-    closed = kind == ParamKind.F_MAX
     best_key = None
     best = None
 
     def extend(S: list[int], start: int):
         nonlocal best_key, best, checked
         checked += 1
-        value = _packing_value(g, frozenset(S), closed)
+        value = _objective(g, kind, frozenset(S))
         if value is None:
             return  # supersets also over-dominate someone
         key = (-value, len(S), tuple(S))
@@ -552,10 +509,4 @@ def brute_force(g: FiniteGraph, kind: ParamKind) -> SolveResult:
 
     extend([], 0)
     value, witness = best
-    return SolveResult(
-        kind=kind,
-        value=value,
-        witness=witness,
-        optimal=True,
-        stats=SolveStats(checked, time.perf_counter() - t0),
-    )
+    return SolveResult(kind, value, witness, SolveStats(checked, time.perf_counter() - t0))

@@ -20,8 +20,8 @@ from conftest import oracle_corpus
 from tumbling.cli import main as cli_main
 from tumbling.density import (
     density_sweep,
-    f_fraction,
     lift_check,
+    min_density,
     perfect_open_pattern,
     search,
     valid_quotients,
@@ -202,7 +202,7 @@ def test_criterion_05_gamma_density():
 
 def test_criterion_06_efficient_domination_fraction():
     t0 = time.perf_counter()
-    rec = f_fraction(LatticeQuotient(4, 3, 2))  # 24 vertices; 24 divides 96
+    rec = min_density(ParamKind.F_MAX, LatticeQuotient(4, 3, 2))  # 24 vertices; 24 divides 96
     assert rec.density >= Fraction(11, 12)
     assert lift_check(rec, 12, 12)
     tested = 0

@@ -14,7 +14,6 @@ from tumbling.density import (
     DensityRecord,
     NoValidQuotientError,
     density_sweep,
-    f_fraction,
     lift_check,
     min_density,
     perfect_open_pattern,
@@ -24,7 +23,7 @@ from tumbling.density import (
 )
 from tumbling.lattice import FamilyKind, FamilySpec, build_family
 from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits, tb_ball
-from tumbling.solvers import _PREDICATES, InfeasibleError, ParamKind, _packing_value, verify_witness
+from tumbling.solvers import InfeasibleError, ParamKind, _objective, verify_witness
 
 
 def test_required_radius():
@@ -71,14 +70,14 @@ def test_search_is_deterministic():
 
 
 def test_f_fraction_target_quotient():
-    rec = f_fraction(LatticeQuotient(4, 3, 2))
+    rec = min_density(ParamKind.F_MAX, LatticeQuotient(4, 3, 2))
     assert rec.density == Fraction(11, 12)
     assert lift_check(rec, 12, 12)
 
 
 def test_f_fraction_never_perfect():
     for q in (LatticeQuotient(4, 3, 2), LatticeQuotient(7, 3, 1), LatticeQuotient(3, 0, 3)):
-        rec = f_fraction(q)
+        rec = min_density(ParamKind.F_MAX, q)
         assert rec.density < 1
 
 
@@ -113,7 +112,7 @@ def test_lift_check_rejects_corrupted_exact_cover():
 
 
 def test_lift_check_rejects_overfull_packing():
-    rec = f_fraction(LatticeQuotient(4, 3, 2))
+    rec = min_density(ParamKind.F_MAX, LatticeQuotient(4, 3, 2))
     extra = next(x for x in range(3 * 8) if x not in rec.witness)
     broken = replace(rec, witness=rec.witness + (extra,))
     assert not lift_check(broken, 12, 12)
@@ -139,10 +138,7 @@ def test_lift_check_matches_quotient_verdict():
             g = build_quotient(q)
             for toggle in [None, *range(g.n)]:
                 witness = tuple(sorted(set(rec.witness) ^ ({toggle} - {None})))
-                if kind.minimizes:
-                    expected = _PREDICATES[kind](g, witness)
-                else:
-                    expected = _packing_value(g, frozenset(witness), closed=(kind == ParamKind.F_MAX)) is not None
+                expected = _objective(g, kind, frozenset(witness)) is not None
                 assert lift_check(replace(rec, witness=witness), 12, 12) == expected, (kind, q, toggle)
                 cases += 1
     assert cases == 34 + 528  # optimal witnesses + one-vertex toggles

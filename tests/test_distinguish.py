@@ -12,10 +12,6 @@ from tumbling.solvers import (
     is_ic_set,
     is_ld_set,
     is_old_set,
-    min_dominating,
-    min_ic,
-    min_ld,
-    min_old,
     open_twins,
     solve,
 )
@@ -87,44 +83,44 @@ def test_is_old_set_c4_never(c4):
 # --- solvers ------------------------------------------------------------------
 
 def test_min_ld_block(block):
-    res = min_ld(block)
+    res = solve(block, ParamKind.LD)
     assert res.value == 3
     assert is_ld_set(block, res.witness)
 
 
 def test_min_ic_block(block):
-    res = min_ic(block)
+    res = solve(block, ParamKind.IC)
     assert res.value == 3
     assert is_ic_set(block, res.witness)
 
 
 def test_min_old_p4(p4):
-    res = min_old(p4)
+    res = solve(p4, ParamKind.OLD)
     assert res.value == 4
 
 
 def test_min_old_c4_reports_twin_pairs(c4):
     with pytest.raises(InfeasibleError) as exc:
-        min_old(c4)
+        solve(c4, ParamKind.OLD)
     assert exc.value.pairs == ((0, 2), (1, 3))
 
 
 def test_min_ic_k2_reports_twin_pair(k2):
     with pytest.raises(InfeasibleError) as exc:
-        min_ic(k2)
+        solve(k2, ParamKind.IC)
     assert exc.value.pairs == ((0, 1),)
 
 
 def test_parameter_chain_gamma_ld_ic(block):
-    gamma = min_dominating(block).value
-    ld = min_ld(block).value
-    ic = min_ic(block).value
+    gamma = solve(block, ParamKind.GAMMA).value
+    ld = solve(block, ParamKind.LD).value
+    ic = solve(block, ParamKind.IC).value
     assert gamma <= ld <= ic
 
 
 def test_ld_counting_bound(block, p4):
     for g in (block, p4):
-        res = min_ld(g)
+        res = solve(g, ParamKind.LD)
         assert g.n - res.value <= 2 ** res.value - 1
 
 
@@ -155,20 +151,16 @@ def test_predicates_check_only_the_given_vertices():
 
     from conftest import random_graph
 
-    from tumbling.solvers import _PREDICATES, _packing_value
+    from tumbling.solvers import _objective
 
     rng = random.Random(5)
     for seed in range(60):
         g = random_graph(rng.randint(2, 9), 0.4, seed)
         for kind in ParamKind:
-            S = {x for x in range(g.n) if rng.random() < 0.4}
+            S = frozenset(x for x in range(g.n) if rng.random() < 0.4)
             on = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
-            if kind.minimizes:
-                got, whole = _PREDICATES[kind](g, S, on=on), _PREDICATES[kind](g, S)
-            else:
-                closed = kind == ParamKind.F_MAX
-                got = _packing_value(g, frozenset(S), closed, on=on) is not None
-                whole = _packing_value(g, frozenset(S), closed) is not None
+            got = _objective(g, kind, S, on=on) is not None
+            whole = _objective(g, kind, S) is not None
             assert got == _restricted_by_definition(g, kind, S, on), (seed, kind, S, on)
             assert whole == _restricted_by_definition(g, kind, S, range(g.n)), (seed, kind, S)
 

@@ -17,7 +17,7 @@ from tumbling.shares import (
     share,
     share_report,
 )
-from tumbling.solvers import is_dominating, is_open_dominating, min_ld, min_old
+from tumbling.solvers import ParamKind, is_dominating, is_open_dominating, solve
 
 
 def _idx(g, *addrs):
@@ -130,14 +130,14 @@ def test_check_open_share_cap_rejects_non_old_set(c6):
 
 def test_check_open_share_cap_on_solved_witnesses():
     for g in (path(4), path(7), cycle(6), cycle(7)):
-        res = min_old(g)
+        res = solve(g, ParamKind.OLD)
         margins = check_open_share_cap(g, res.witness)
         assert all(m >= 0 for m in margins.values())
 
 
 def test_check_ld_pn_bound_on_witnesses(block, p4):
     for g in (block, p4):
-        res = min_ld(g)
+        res = solve(g, ParamKind.LD)
         counts = check_ld_pn_bound(g, res.witness)
         assert all(c <= 1 for c in counts.values())
 

@@ -16,10 +16,6 @@ from tumbling.solvers import (
     has_efficient_open_dominating,
     is_dominating,
     is_open_dominating,
-    max_efficient,
-    max_efficient_open,
-    min_dominating,
-    min_open_dominating,
     _cover_requirements,
     _dominance_filter,
     solve,
@@ -29,6 +25,20 @@ from tumbling.solvers import (
 
 def _idx(g, *addrs):
     return tuple(g.index_of(a) for a in addrs)
+
+
+def test_package_exports_only_api_names():
+    import types
+
+    import tumbling
+
+    assert all(not isinstance(getattr(tumbling, name), types.ModuleType) for name in tumbling.__all__)
+    removed = {
+        "min_dominating", "min_open_dominating", "min_ld", "min_ic", "min_old",
+        "max_efficient", "max_efficient_open", "f_fraction", "Rational",
+    }
+    assert not removed & set(tumbling.__all__)
+    assert {"ParamKind", "solve", "min_density"} <= set(tumbling.__all__)
 
 
 # --- predicates -----------------------------------------------------------
@@ -65,48 +75,47 @@ def test_is_open_dominating_isolated():
 # --- minimization solvers -------------------------------------------------
 
 def test_min_dominating_block(block):
-    res = min_dominating(block)
+    res = solve(block, ParamKind.GAMMA)
     assert res.value == 2
     assert res.witness == _idx(block, w(1, 1), u(2, 1))
-    assert res.optimal
 
 
 def test_min_dominating_small(k1, c6):
-    assert min_dominating(k1).value == 1
-    assert min_dominating(c6).value == 2
+    assert solve(k1, ParamKind.GAMMA).value == 1
+    assert solve(c6, ParamKind.GAMMA).value == 2
 
 
 def test_min_open_dominating_values(c6, k2):
-    assert min_open_dominating(c6).value == 4
-    assert min_open_dominating(k2).value == 2
+    assert solve(c6, ParamKind.GAMMA_OP).value == 4
+    assert solve(k2, ParamKind.GAMMA_OP).value == 2
 
 
 def test_min_open_dominating_isolated_vertex_errors():
     g = FiniteGraph([[], [2], [1]])
     with pytest.raises(InfeasibleError) as exc:
-        min_open_dominating(g)
+        solve(g, ParamKind.GAMMA_OP)
     assert 0 in exc.value.vertices
 
 
 # --- maximization solvers -------------------------------------------------
 
 def test_max_efficient_block(block):
-    res = max_efficient(block)
+    res = solve(block, ParamKind.F_MAX)
     assert res.value == 7
     assert res.witness == _idx(block, w(1, 1), u(2, 1))
 
 
 def test_max_efficient_c4_k1(c4, k1):
-    assert max_efficient(c4).value == 3
-    assert max_efficient(k1).value == 1
+    assert solve(c4, ParamKind.F_MAX).value == 3
+    assert solve(k1, ParamKind.F_MAX).value == 1
 
 
 def test_max_efficient_open_values(p3, c6, k2):
-    res = max_efficient_open(p3)
+    res = solve(p3, ParamKind.F_OP_MAX)
     assert res.value == 3
     assert res.witness == (0, 1)
-    assert max_efficient_open(c6).value == 4
-    assert max_efficient_open(k2).value == 2
+    assert solve(c6, ParamKind.F_OP_MAX).value == 4
+    assert solve(k2, ParamKind.F_OP_MAX).value == 2
 
 
 def test_has_efficient_dominating(block, c4, k1):
@@ -122,7 +131,7 @@ def test_has_efficient_open_dominating(k2, c4, c6):
 
 
 def test_c4_efficient_open_witness(c4):
-    res = max_efficient_open(c4)
+    res = solve(c4, ParamKind.F_OP_MAX)
     assert res.value == 4
     assert res.witness == (0, 1)
 
@@ -143,6 +152,9 @@ def test_brute_force_size_cap():
 
 def test_oracle_agreement_sample():
     graphs = [cycle(6), path(5), complete(4), random_graph(9, 0.3, 5), random_graph(11, 0.5, 6)]
+    # under F-OP the proof's witness {1, 2, 3} is not the fewest vertices:
+    # the canonical pass finds {0, 4}, so its size-first step runs
+    graphs.append(FiniteGraph.from_edges(6, [(0, 2), (0, 4), (1, 3), (1, 4), (1, 5), (4, 5)]))
     for g in graphs:
         for kind in ParamKind:
             try:
@@ -181,7 +193,7 @@ def test_monotonicity_of_gamma_in_rows_and_cols():
 
 def test_f_at_most_n_with_equality_iff_efficient():
     for name, g in [("C4", cycle(4)), ("C6", cycle(6)), ("P4", path(4))]:
-        res = max_efficient(g, deterministic=False)
+        res = solve(g, ParamKind.F_MAX, deterministic=False)
         assert res.value <= g.n
         assert (res.value == g.n) == has_efficient_dominating(g), name
 
@@ -189,7 +201,7 @@ def test_f_at_most_n_with_equality_iff_efficient():
 def test_solve_stats_populated(block):
     from tumbling.solvers import SolveStats
 
-    res = min_dominating(block)
+    res = solve(block, ParamKind.GAMMA)
     assert res.stats.nodes >= 1
     assert res.stats.elapsed >= 0
     assert SolveStats(5, 0.1) == SolveStats(nodes=5, elapsed=0.1, proof_s=0.0, canon_s=0.0, canon_calls=0)
