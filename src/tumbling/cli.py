@@ -103,18 +103,23 @@ def _parse_quotient(text: str) -> LatticeQuotient:
 
 
 def _resolve_graph(args) -> tuple[FiniteGraph, GraphDocument]:
+    """The graph the arguments name, and its document.  With ``--emit`` the
+    record cap is checked on the graph's counts before the graph is built."""
     if getattr(args, "input", None):
         doc = load_document(args.input)
+        _check_emittable(args, doc.n, doc.m)
         return graph_from_document(doc), doc
     if args.family:
         if args.rows is None:
             raise ValueError("--family needs --rows")
         spec = FamilySpec(FamilyKind(args.family), args.rows, args.cols)
+        _check_emittable(args, *closed_form_counts(spec))
         g = build_family(spec)
         source = {"family": args.family, "rows": args.rows, "cols": args.cols}
         return g, document_from_graph(g, source)
     if args.quotient:
         q = _parse_quotient(args.quotient)
+        _check_emittable(args, 3 * q.det, 6 * q.det)
         g = build_quotient(q)
         return g, document_from_graph(g, {"quotient": [q.a, q.c, q.d]})
     raise ValueError("no graph given: use --input, --family, or --quotient")
@@ -164,11 +169,12 @@ def _over_record_cap(n: int, m: int) -> bool:
     return n > MAX_RECORD_VERTICES or m > MAX_RECORD_EDGES
 
 
-def _check_emittable(g: FiniteGraph) -> None:
-    if _over_record_cap(g.n, g.m):
+def _check_emittable(args, n: int, m: int) -> None:
+    """With ``--emit``, refuse a graph of n vertices and m edges over the cap."""
+    if getattr(args, "emit", None) and _over_record_cap(n, m):
         raise ValueError(
             f"--emit writes graphs of at most {MAX_RECORD_VERTICES} vertices and "
-            f"{MAX_RECORD_EDGES} edges, got n={g.n} m={g.m}"
+            f"{MAX_RECORD_EDGES} edges, got n={n} m={m}"
         )
 
 
@@ -203,8 +209,6 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     g, doc = _resolve_graph(args)
     kind = ParamKind(args.param)
-    if args.emit:
-        _check_emittable(g)
     result = brute_force(g, kind) if args.brute else solve(g, kind)
     # the record first, so that a reader closing stdout early cannot lose it
     if args.emit:
@@ -399,8 +403,6 @@ def _verify_cut_record(payload: dict) -> bool:
 
 def cmd_hamilton(args) -> int:
     g, doc = _resolve_graph(args)
-    if args.emit:
-        _check_emittable(g)
     a, b, balanced = bipartite_balance(g)
     cert = None
     if args.cut:
@@ -529,10 +531,8 @@ def main(argv=None) -> int:
     except (InfeasibleError, NoValidQuotientError, DegenerateQuotientError, NotBipartiteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (FileNotFoundError, ValueError, KeyError) as exc:
+        # usage and parse errors: a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -46,21 +46,21 @@ import logging
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from fractions import Fraction
 
 from . import quotient
 from .graph import FiniteGraph
-from .lattice import FamilyKind, FamilySpec, VClass, VertexAddr, build_family
+from .lattice import FamilyKind, FamilySpec, VertexAddr, build_family
 from .quotient import (
     LatticeQuotient,
     LatticeSymmetry,
+    _ball_offsets,
     build_quotient,
     enumerate_hnf,
     induces_isomorphism,
     quotient_labels,
     quotient_orbits,
-    tb_ball,
     validate_quotient,
 )
 from .solvers import ParamKind, SolveStats, _objective, solve, verify_witness
@@ -137,12 +137,13 @@ class DensityRecord:
         return self.witness
 
 
-def min_density(kind: ParamKind, q: LatticeQuotient, deterministic: bool = True) -> DensityRecord:
-    """Exact optimum of the parameter on one validated quotient."""
+def min_density(kind: ParamKind, q: LatticeQuotient) -> DensityRecord:
+    """Exact optimum of the parameter on one validated quotient, with its
+    canonical witness."""
     radius = required_radius(kind)
     if not validate_quotient(q, radius):
         raise ValueError(f"quotient {q} fails validation at radius {radius}")
-    return _solve_quotient(kind, q, deterministic)
+    return _solve_quotient(kind, q, deterministic=True)
 
 
 def _solve_quotient(kind: ParamKind, q: LatticeQuotient, deterministic: bool) -> DensityRecord:
@@ -223,24 +224,18 @@ def valid_quotients(max_det: int, radius: int) -> list[LatticeQuotient]:
     return [q for q in enumerate_hnf(max_det) if validate_quotient(q, radius)]
 
 
-def density_sweep(
-    kind: ParamKind,
-    max_det: int,
-    threads: int | None = None,
-    deterministic: bool = False,
-) -> list[DensityRecord]:
+def density_sweep(kind: ParamKind, max_det: int, threads: int | None = None) -> list[DensityRecord]:
     """Optimum of the parameter on every validated quotient with det <= max_det.
 
     Only the first quotient of each point-group orbit is solved; the other
     members take its size and density, and its witness mapped through the
     symmetry (see :func:`_carry_record`).  Records come back in (det, a, c)
     order, one per valid quotient, regardless of how many worker processes
-    ran, so downstream folds are deterministic.  Witnesses of solved
-    quotients are canonicalized only on request; carried witnesses are
-    images of those and need not be canonical on their own quotient.  The
-    optimum values never depend on it.
+    ran, so downstream folds are deterministic.  Witnesses are the ones the
+    proofs found, not canonical ones, and carried witnesses are images of
+    those; the optimum values never depend on which optimum a proof finds.
     """
-    quots, orbits, solved = _solve_orbits(kind, max_det, threads, deterministic)
+    quots, orbits, solved = _solve_orbits(kind, max_det, threads)
     rep_graphs: dict[LatticeQuotient, FiniteGraph] = {}
 
     def carried(q: LatticeQuotient) -> DensityRecord:
@@ -253,7 +248,7 @@ def density_sweep(
 
 
 def _solve_orbits(
-    kind: ParamKind, max_det: int, threads: int | None, deterministic: bool, stop_at_ceiling: bool = False
+    kind: ParamKind, max_det: int, threads: int | None, stop_at_ceiling: bool = False
 ) -> tuple[
     list[LatticeQuotient],
     dict[LatticeQuotient, tuple[LatticeQuotient, LatticeSymmetry]],
@@ -261,15 +256,17 @@ def _solve_orbits(
 ]:
     """The validated quotients with det <= max_det in (det, a, c) order, their
     orbits (see :func:`quotient_orbits`), and the solved record of each
-    orbit representative, in (det, a, c) order.
+    orbit representative, in (det, a, c) order, with the witness its proof
+    found.
 
     Before any solve, every other member is certified to be an isomorphic
     image of its representative (:func:`induces_isomorphism`), so it has the
     same optimum; RuntimeError if a certificate fails.  No graph is built
     for a member.  With more than one thread and more than 4
-    representatives, a process pool takes them largest det first, so that
-    no slow solve starts last; otherwise, or if the pool cannot start, they
-    are solved in turn in (det, a, c) order.
+    representatives, a process pool of at most one worker per
+    representative takes them largest det first, so that no slow solve
+    starts last; otherwise, or if the pool cannot start, they are solved in
+    turn in (det, a, c) order.
 
     With ``stop_at_ceiling`` the representatives are always solved in turn,
     and the sweep stops after the first one whose record has density 1:
@@ -285,12 +282,12 @@ def _solve_orbits(
     reps = [q for q in quots if orbits[q][0] == q]
     if threads is None:
         threads = _thread_budget()
-    solve_rep = partial(_solve_quotient, kind, deterministic=deterministic)
+    solve_rep = partial(_solve_quotient, kind, deterministic=False)
     solved: dict[LatticeQuotient, DensityRecord] = {}
     if threads > 1 and len(reps) > 4 and not stop_at_ceiling:
         largest_first = sorted(reps, key=lambda q: -q.det)
         try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=min(threads, len(reps))) as pool:
                 pooled = dict(zip(largest_first, pool.map(solve_rep, largest_first)))
             solved = {q: pooled[q] for q in reps}
         except OSError as exc:
@@ -349,9 +346,7 @@ def search(kind: ParamKind, max_det: int, threads: int | None = None) -> Density
     in (det, a, c) order, whose packing has density 1, since nothing later
     can beat it or win the tie-break.  The winner is solved once more for
     its canonical witness."""
-    _quots, _orbits, solved = _solve_orbits(
-        kind, max_det, threads, deterministic=False, stop_at_ceiling=not kind.minimizes
-    )
+    _quots, _orbits, solved = _solve_orbits(kind, max_det, threads, stop_at_ceiling=not kind.minimizes)
     if not solved:
         raise NoValidQuotientError(
             f"no quotient with det <= {max_det} validates at radius {required_radius(kind)}"
@@ -387,17 +382,10 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
 # independent verification on finite windows of the infinite lattice
 # ---------------------------------------------------------------------------
 
-@cache
-def _ball_offsets(cls: VClass, radius: int) -> tuple[tuple[int, int, int], ...]:
-    """(class, di, dj) of each member of the radius-ball of a class-``cls``
-    vertex, relative to the vertex: the ball of the class root."""
-    return tuple(tuple(y) for y in tb_ball(VertexAddr(cls, 0, 0), radius))
-
-
 def _interior(window: FiniteGraph, radius: int) -> list[int]:
     """The vertices of a labeled window whose whole radius-ball in the
     lattice is in the window: every offset of the vertex's class ball
-    (:func:`_ball_offsets`) lands on a window label."""
+    (:func:`tumbling.quotient._ball_offsets`) lands on a window label."""
     present = set(window.labels)
     return [
         k for k, (cls, i, j) in enumerate(window.labels)

@@ -94,20 +94,13 @@ def quotient_labels(q: LatticeQuotient) -> list[VertexAddr]:
     ]
 
 
-@cache
-def _neighbor_offsets(cls: VClass) -> tuple[tuple[int, int, int], ...]:
-    """(class, di, dj) of each neighbour of a vertex of class ``cls``, relative
-    to the vertex: the neighbours of the class root."""
-    return tuple(tuple(y) for y in tb_neighbors(VertexAddr(cls, 0, 0)))
-
-
 def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     """Quotient graph on the 3*det orbit representatives.
 
     The neighbours of (cls, i, j) are (cls', i + di, j + dj) for the fixed
-    offsets of its class (:func:`_neighbor_offsets`), and each is mapped
-    straight to the index of its orbit (:meth:`LatticeQuotient.index`), so
-    adjacency is built on plain integers.
+    offsets of its class (:func:`_ball_offsets` of radius 1, after the
+    root), and each is mapped straight to the index of its orbit
+    (:meth:`LatticeQuotient.index`), so adjacency is built on plain integers.
 
     Raises :class:`DegenerateQuotientError` when two infinite-lattice
     neighbors of some vertex fall into the same orbit (the quotient would
@@ -116,7 +109,7 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     a, c, d, det = q.a, q.c, q.d, q.det
     adj = []
     for cls in (VClass.W, VClass.U, VClass.V):
-        offsets = _neighbor_offsets(cls)
+        offsets = _ball_offsets(cls, 1)[1:]
         for i in range(a):
             for j in range(d):
                 reduced = []
@@ -149,14 +142,18 @@ def tb_ball(root: VertexAddr, radius: int) -> dict[VertexAddr, int]:
 
 
 @cache
+def _ball_offsets(cls: VClass, radius: int) -> tuple[tuple[int, int, int], ...]:
+    """(class, di, dj) of each member of the radius-ball of a class-``cls``
+    vertex, relative to the vertex, in breadth-first order: the vertex
+    first, then its neighbours in :func:`tb_neighbors` order."""
+    return tuple(tuple(y) for y in tb_ball(VertexAddr(cls, 0, 0), radius))
+
+
+@cache
 def _forbidden_offsets(radius: int) -> tuple[tuple[int, int], ...]:
     """Block offsets z - y between same-class vertices y != z at distance at
     most 2*radius: 6, 18 and 36 offsets for radius 1, 2 and 3."""
-    offsets = set()
-    for cls in VClass:
-        root = VertexAddr(cls, 0, 0)
-        ball = tb_ball(root, 2 * radius)
-        offsets.update((z.i, z.j) for z in ball if z.cls == cls and z != root)
+    offsets = {(di, dj) for cls in VClass for c, di, dj in _ball_offsets(cls, 2 * radius)[1:] if c == cls}
     return tuple(sorted(offsets))
 
 

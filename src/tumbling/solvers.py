@@ -293,9 +293,11 @@ def _kernel_bug(kind: ParamKind, n: int, what: str) -> RuntimeError:
     return RuntimeError(f"kernel bug: {kind.value} on n={n}: {what}")
 
 
-def _check_call(found, kind: ParamKind, n: int, forced: int, banned: int, limit: int) -> None:
-    """A kernel's witness is a mask of at most ``limit`` of the n vertices,
-    with every forced vertex and no banned one."""
+def _check_call(found, kind: ParamKind, n: int, forced: int, banned: int, limit: int, fault) -> int:
+    """``found`` after checking that it meets the kernel call that returned
+    it: a mask of at most ``limit`` of the n vertices, with every forced
+    vertex and no banned one, that passes the engine's test (``fault``
+    returns None, or what is wrong)."""
     if type(found) is not int or found < 0 or found >> n:
         raise _kernel_bug(kind, n, f"returned {found!r}, not a vertex mask")
     if found & forced != forced:
@@ -304,68 +306,23 @@ def _check_call(found, kind: ParamKind, n: int, forced: int, banned: int, limit:
         raise _kernel_bug(kind, n, "witness includes a banned vertex")
     if found.bit_count() > limit:
         raise _kernel_bug(kind, n, f"witness has {found.bit_count()} vertices, over the limit {limit}")
-
-
-def _check_cover(found, kind: ParamKind, n: int, reqs: list[int], forced: int, banned: int, limit: int) -> int:
-    """``found`` after checking that it meets the cover call that returned it."""
-    _check_call(found, kind, n, forced, banned, limit)
-    if not all(m & found for m in reqs):
-        raise _kernel_bug(kind, n, "witness misses a requirement")
+    what = fault(found)
+    if what is not None:
+        raise _kernel_bug(kind, n, what)
     return found
 
 
-def _check_pack(found, kind: ParamKind, n: int, cov: list[int], best: int, forced: int, banned: int, limit: int) -> int:
-    """``found`` after checking that it meets the packing call that returned it."""
-    _check_call(found, kind, n, forced, banned, limit)
+def _pack_fault(cov: list[int], best: int, found: int) -> str | None:
+    """What is wrong with ``found`` as a packing that covers ``best``
+    vertices, or None."""
     covered = 0
     for v in _mask_to_tuple(found):
         if cov[v] & covered:
-            raise _kernel_bug(kind, n, "witness has overlapping coverage masks")
+            return "witness has overlapping coverage masks"
         covered |= cov[v]
     if covered.bit_count() < best:
-        raise _kernel_bug(kind, n, f"witness covers {covered.bit_count()} vertices, not {best}")
-    return found
-
-
-def _lex_min(n: int, size: int, witness: int, feasible) -> tuple[int, int]:
-    """Lexicographically least accepted set of ``size`` vertices, and the
-    number of kernel calls made.
-
-    Vertices are decided in index order; each is taken when some accepted
-    set extends the choices so far.  ``witness`` is always such a set, so a
-    vertex in it is taken with no search, and any other vertex costs one
-    ``feasible(forced, banned)`` call, which either bans it or supplies the
-    next witness.
-    """
-    chosen = 0
-    banned = 0
-    count = 0
-    calls = 0
-    for vtx in range(n):
-        if count == size:
-            break
-        bit = 1 << vtx
-        if not witness & bit:
-            calls += 1
-            found = feasible(chosen | bit, banned)
-            if found is None:
-                banned |= bit
-                continue
-            witness = found
-        chosen |= bit
-        count += 1
-    return chosen, calls
-
-
-def _lex_min_cover(kern, kind: ParamKind, n: int, reqs: list[int], k: int, witness: int) -> tuple[int, int]:
-    """Lexicographically least hitting set of size exactly k (k = optimum),
-    starting from the proof's witness; and the number of kernel calls made."""
-
-    def feasible(forced: int, banned: int) -> int | None:
-        found = kern.cover_feasible(n, reqs, forced, banned, k)
-        return None if found is None else _check_cover(found, kind, n, reqs, forced, banned, k)
-
-    return _lex_min(n, k, witness, feasible)
+        return f"witness covers {covered.bit_count()} vertices, not {best}"
+    return None
 
 
 def _pack_size_bound(cov: list[int], best: int) -> int:
@@ -381,43 +338,51 @@ def _pack_size_bound(cov: list[int], best: int) -> int:
     return size
 
 
-def _lex_min_pack(
-    kern, kind: ParamKind, n: int, cov: list[int], conf: list[int], best: int, witness: int
-) -> tuple[int, int]:
-    """Canonical optimal packing: fewest vertices, then lexicographically
-    least, starting from the proof's witness; and the number of kernel calls
-    made.  The size is the first one from :func:`_pack_size_bound` up to the
-    size of ``witness`` at which some packing covers ``best`` vertices.
-    Every call reads the one conflict table ``conf``."""
+def _canonical(n: int, fewest: int, witness: int, feasible) -> tuple[int, int]:
+    """The canonical optimal set, fewest vertices and then lexicographically
+    least, and the number of ``feasible(forced, banned, size)`` calls made.
 
-    def feasible(forced: int, banned: int, cap: int) -> int | None:
-        found = kern.pack_feasible(n, cov, forced, banned, best, cap, conf=conf)
-        return None if found is None else _check_pack(found, kind, n, cov, best, forced, banned, cap)
-
+    ``witness`` is an optimal set, and none has fewer than ``fewest``
+    vertices.  A call returns an optimal set of at most ``size`` vertices,
+    with every forced vertex and no banned one, or None.  The size is the
+    first from ``fewest`` up to the witness's at which some optimal set
+    exists.  Then vertices are decided in index order; each is taken when
+    some optimal set of that size extends the choices so far.  ``witness``
+    is always such a set, so a vertex in it is taken with no search, and any
+    other vertex costs one call, which either bans it or supplies the next
+    witness.
+    """
     calls = 0
     size = witness.bit_count()
-    for cap in range(_pack_size_bound(cov, best), size):
+    for cap in range(fewest, size):
         calls += 1
         found = feasible(0, 0, cap)
         if found is not None:
             witness, size = found, cap
             break
-    chosen, lex_calls = _lex_min(n, size, witness, lambda forced, banned: feasible(forced, banned, size))
-    return chosen, calls + lex_calls
-
-
-def _check_roots(found: int, kind: ParamKind, n: int, roots) -> int:
-    """``found`` after checking that it meets the constraints of some root."""
-    if not any(found & forced == forced and not found & banned for forced, banned in roots):
-        raise _kernel_bug(kind, n, "witness meets no root")
-    return found
+    chosen = banned = count = 0
+    for vtx in range(n):
+        if count == size:
+            break
+        bit = 1 << vtx
+        if not witness & bit:
+            calls += 1
+            found = feasible(chosen | bit, banned, size)
+            if found is None:
+                banned |= bit
+                continue
+            witness = found
+        chosen |= bit
+        count += 1
+    return chosen, calls
 
 
 def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots=None) -> SolveResult:
     """Prove the exact parameter value and return a verified witness.
 
     With ``deterministic`` (the default) the witness is re-selected to be the
-    canonical optimal one, so repeated and concurrent runs agree bit for bit.
+    canonical optimal one (:func:`_canonical`), so repeated and concurrent
+    runs agree bit for bit.
 
     ``_roots`` is for callers that know the graph's symmetry: the proof
     searches only from those ``(forced, banned)`` start nodes (see
@@ -429,24 +394,34 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
     kern = kernels_for(g.n)
     n = g.n
     roots = ((0, 0),) if _roots is None else tuple(_roots)
-    calls = 0
+    # per engine: the proof, the feasibility call, the test of a witness, the
+    # fewest vertices of an optimum and the size limit of the proof's witness
     if kind.minimizes:
         reqs = _dominance_filter(_cover_requirements(g, kind))
         t_proof = time.perf_counter()
         value, wit_mask, nodes = kern.solve_cover(n, reqs, roots)
         t_canon = time.perf_counter()
-        wit_mask = _check_roots(_check_cover(wit_mask, kind, n, reqs, 0, 0, value), kind, n, roots)
-        if deterministic:
-            wit_mask, calls = _lex_min_cover(kern, kind, n, reqs, value, wit_mask)
+        call = lambda forced, banned, size: kern.cover_feasible(n, reqs, forced, banned, size)
+        fault = lambda found: None if all(m & found for m in reqs) else "witness misses a requirement"
+        fewest = limit = value
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
         conf = conflicts(cov)
         t_proof = time.perf_counter()
         value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf=conf)
         t_canon = time.perf_counter()
-        wit_mask = _check_roots(_check_pack(wit_mask, kind, n, cov, value, 0, 0, n), kind, n, roots)
-        if deterministic:
-            wit_mask, calls = _lex_min_pack(kern, kind, n, cov, conf, value, wit_mask)
+        call = lambda forced, banned, size: kern.pack_feasible(n, cov, forced, banned, value, size, conf=conf)
+        fault = lambda found: _pack_fault(cov, value, found)
+        fewest, limit = _pack_size_bound(cov, value), n
+
+    def feasible(forced: int, banned: int, size: int) -> int | None:
+        found = call(forced, banned, size)
+        return None if found is None else _check_call(found, kind, n, forced, banned, size, fault)
+
+    _check_call(wit_mask, kind, n, 0, 0, limit, fault)
+    if not any(wit_mask & forced == forced and not wit_mask & banned for forced, banned in roots):
+        raise _kernel_bug(kind, n, "witness meets no root")
+    wit_mask, calls = _canonical(n, fewest, wit_mask, feasible) if deterministic else (wit_mask, 0)
     t_end = time.perf_counter()
     witness = _mask_to_tuple(wit_mask)
     if not verify_witness(g, kind, witness, value):

@@ -123,6 +123,9 @@ def test_criterion_03_oracle_equivalence():
                 continue
             got = solve(g, kind)
             assert got.value == expected.value, (name, kind)
+            # one canonical rule for both engines: fewest vertices, then
+            # lexicographically least, as brute force enumerates
+            assert got.witness == expected.witness, (name, kind)
             assert verify_witness(g, kind, got.witness, got.value), (name, kind)
             assert verify_witness(g, kind, expected.witness, expected.value), (name, kind)
             values[kind] = got

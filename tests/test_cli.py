@@ -358,6 +358,32 @@ def test_density_max_det_over_the_cap_exit_2(capsys):
     assert out == "" and str(MAX_RECORD_DET) in err
 
 
+@pytest.mark.parametrize(
+    "source",
+    [["--family", "tbp", "--rows", "160", "--cols", "160"], ["--quotient", "32,0,33"], ["--input"]],
+    ids=["family", "quotient", "input"],
+)
+@pytest.mark.parametrize("command", [["solve", "--param", "gamma"], ["hamilton"]], ids=["solve", "hamilton"])
+def test_emit_over_the_cap_exits_2_before_building_the_graph(capsys, monkeypatch, tmp_path, command, source):
+    """--emit refuses an oversized graph from its vertex and edge counts:
+    closed forms for a family, 3 det and 6 det for a quotient (det 1056
+    here), the parsed document's counts for an input file."""
+    import tumbling.cli as cli_mod
+    from tumbling.cli import MAX_RECORD_VERTICES
+
+    for name in ("build_family", "build_quotient", "graph_from_document"):
+        monkeypatch.setattr(cli_mod, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+    if source == ["--input"]:
+        big = tmp_path / "big.txt"
+        big.write_text(f"p {MAX_RECORD_VERTICES + 1} 0\n")
+        source = ["--input", str(big)]
+    rec = tmp_path / "rec.json"
+    code, out, err = run(capsys, *command, *source, "--emit", str(rec))
+    assert (code, out) == (2, "")
+    assert f"--emit writes graphs of at most {MAX_RECORD_VERTICES} vertices" in err
+    assert not rec.exists()
+
+
 @pytest.mark.parametrize("max_det", ["0", "-3"])
 def test_density_max_det_below_one_exit_2(capsys, max_det):
     code, out, err = run(capsys, "density", "--param", "gamma", "--max-det", max_det)

@@ -201,7 +201,7 @@ def test_pool_is_imported_only_by_a_parallel_sweep():
 def test_orbit_sweep_matches_full_sweep(kind):
     """One solve per point-group orbit gives the same records as solving
     every valid quotient, and the same search result."""
-    full = [min_density(kind, q, deterministic=False) for q in valid_quotients(12, required_radius(kind))]
+    full = [min_density(kind, q) for q in valid_quotients(12, required_radius(kind))]
     reduced = density_sweep(kind, 12, threads=1)
     assert [r.quotient for r in reduced] == [r.quotient for r in full]
     assert [(r.size, r.density) for r in reduced] == [(r.size, r.density) for r in full]
@@ -303,14 +303,16 @@ def test_carried_record_checks_the_built_graphs():
     assert (carried.quotient, carried.size) == (q, rec.size)
 
 
-def _inline_pool(monkeypatch) -> list:
-    """Replace the sweep's process pool by one that solves in this process,
-    and return the list of the quotients it is handed, in order."""
+def _inline_pool(monkeypatch) -> tuple[list, list]:
+    """Replace the sweep's process pool by one that solves in this process
+    and starts no worker; return the list of the quotients it is handed, in
+    order, and the list of the ``max_workers`` it was built with."""
     handed_out = []
+    workers = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -324,19 +326,27 @@ def _inline_pool(monkeypatch) -> list:
             return map(fn, tasks)
 
     monkeypatch.setattr(density_mod, "ProcessPoolExecutor", InlinePool)
-    return handed_out
+    return handed_out, workers
 
 
 def test_pool_takes_the_largest_quotients_first(monkeypatch):
     """A parallel sweep hands out representatives in decreasing det and
     returns the records in (det, a, c) order, as a serial sweep does."""
-    handed_out = _inline_pool(monkeypatch)
+    handed_out, _workers = _inline_pool(monkeypatch)
     pooled = density_sweep(ParamKind.LD, 12, threads=2)
     reps = _representatives(12, 2)
     assert sorted(handed_out, key=lambda q: (-q.det, q.a, q.c)) == handed_out
     assert sorted(handed_out, key=lambda q: (q.det, q.a, q.c)) == reps
     assert handed_out[0].det > handed_out[-1].det
     assert pooled == density_sweep(ParamKind.LD, 12, threads=1)
+
+
+def test_pool_starts_at_most_one_worker_per_representative(monkeypatch):
+    """A thread budget far above the number of representatives asks the
+    pool for one worker per representative, not one per thread."""
+    handed_out, workers = _inline_pool(monkeypatch)
+    density_sweep(ParamKind.LD, 12, threads=10**6)
+    assert workers == [len(handed_out)] == [10]
 
 
 def test_sweep_logs_each_representative_and_a_summary(caplog):
@@ -484,7 +494,7 @@ SWEEP_12_NODES = {ParamKind.LD: 6_316, ParamKind.IC: 10_575, ParamKind.OLD: 16_0
 def test_sweep_proof_nodes_are_pinned(kind):
     """Node counts do not depend on the machine, so a lost prune shows here
     as a count, not only as seconds."""
-    _quots, _orbits, solved = density_mod._solve_orbits(kind, 12, threads=1, deterministic=False)
+    _quots, _orbits, solved = density_mod._solve_orbits(kind, 12, threads=1)
     assert sum(rec.stats.nodes for rec in solved.values()) == SWEEP_12_NODES[kind]
 
 
