@@ -22,15 +22,19 @@ witness (an empty packing reaches target 0): callers test ``is None``.
 The cover search takes its requirements dominance-filtered and in scan
 order (``solvers`` filters them once per solve).  At each node it bounds
 the vertices still needed by a greedy packing: ``lb`` unhit requirements
-with pairwise disjoint candidate sets, with union ``used``.  When that
-leaves no slack (``count + lb + 1`` equals the bound), a set the subtree
-may still keep adds one vertex in each packed requirement and none outside
-``used``.  The node then restricts every unhit requirement to ``used``
-(each meets it: the packing took every one that missed it) and branches on
-the narrowest.  The rule removes only subtrees holding no set that beats
-the bound, so optima, infeasibility verdicts and canonical witnesses are
-the plain search's; node counts, and the optimizing witness among equal
-optima, may differ.
+with pairwise disjoint candidate sets, with union ``used``.  The packing
+takes the candidate sets narrowest first (a stable sort, so ties keep scan
+order) and closes the node as soon as ``count + lb`` reaches the bound.
+Disjoint sets need distinct vertices in whatever order they were picked, so
+the bound is exact; narrow sets first keep it high once banning has shrunk
+some requirements.  When the packing leaves no slack (``count + lb + 1``
+equals the bound), a set the subtree may still keep adds one vertex in each
+packed requirement and none outside ``used``.  The node then restricts
+every unhit requirement to ``used`` (each meets it: the packing took every
+one that missed it) and branches on the narrowest.  Both rules remove only
+subtrees holding no set that beats the bound, so optima, infeasibility
+verdicts and canonical witnesses are the plain search's; node counts, and
+the optimizing witness among equal optima, may differ.
 
 The pack search reads a conflict table (``conflicts``: which vertices'
 coverage masks overlap).  Both packing kernels take it as ``conf``;
@@ -107,7 +111,7 @@ class _Found(Exception):
 
 
 def _cover_search(
-    n: int, masks: list[int], roots: Roots, bound: int, witness: int | None, first: bool
+    masks: list[int], roots: Roots, bound: int, witness: int | None, first: bool
 ) -> tuple[int, int | None, int]:
     """Hitting sets smaller than ``bound`` that meet some root.  Returns the
     last kept set's (size, mask), or the given bound and witness, and the
@@ -118,14 +122,10 @@ def _cover_search(
         nonlocal bound, witness, nodes
         nodes += 1
         # one pass over the requirements the parent left unhit: keep the
-        # candidates of those still unhit for the children, detect dead
-        # ones, greedy-pack a lower bound, and remember the narrowest one
+        # candidates of those still unhit for the children, and detect dead
+        # ones
         free = ~banned
         unhit = []
-        lb = 0
-        used = 0
-        branch_req = 0
-        branch_width = n + 1
         for m in live:
             if m & chosen:
                 continue
@@ -133,22 +133,25 @@ def _cover_search(
             if cand == 0:
                 return
             unhit.append(cand)
-            if not cand & used:
-                lb += 1
-                used |= cand
-            width = cand.bit_count()
-            if width < branch_width:
-                branch_width = width
-                branch_req = cand
-        if branch_req == 0:
+        if not unhit:
             if count < bound:
                 bound = count
                 witness = chosen
                 if first:
                     raise _Found
             return
-        if count + lb >= bound:
-            return
+        # greedy-pack a lower bound, narrowest first (the sort is stable, so
+        # its head is the first narrowest in scan order: the branch)
+        by_width = sorted(unhit, key=int.bit_count)
+        branch_req = by_width[0]
+        lb = 0
+        used = 0
+        for cand in by_width:
+            if not cand & used:
+                lb += 1
+                if count + lb >= bound:
+                    return
+                used |= cand
         if count + lb + 1 == bound:
             # tight packing (module docstring): the children see only the
             # restricted sets, so no vertex outside used enters the subtree
@@ -175,7 +178,8 @@ def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int
 
     Returns (optimum size, witness mask, explored node count).  Every mask
     must be nonzero; feasibility screening and dominance filtering are the
-    caller's job.  Requirements are scanned in the order given.  Raises
+    caller's job.  Each node packs its lower bound narrowest first and
+    branches on the first narrowest requirement in the order given.  Raises
     ValueError when no root admits a hitting set.
     """
     if any(m == 0 for m in masks):
@@ -185,7 +189,7 @@ def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int
         greedy = _greedy_cover(masks, forced, banned)
         if greedy is not None and greedy.bit_count() < best:
             best, seed = greedy.bit_count(), greedy
-    best, witness, nodes = _cover_search(n, masks, roots, best, seed, False)
+    best, witness, nodes = _cover_search(masks, roots, best, seed, False)
     if witness is None:
         raise ValueError("infeasible: no root admits a hitting set")
     return best, witness, nodes
@@ -194,7 +198,7 @@ def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int
 def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: int) -> int | None:
     """A hitting set S with forced <= S, S & banned == 0 and |S| <= limit:
     the mask of one such S, or None when there is none."""
-    return _cover_search(n, masks, ((forced, banned),), limit + 1, None, True)[1]
+    return _cover_search(masks, ((forced, banned),), limit + 1, None, True)[1]
 
 
 def conflicts(cov: list[int]) -> list[int]:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -460,6 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
         "solvers, periodic density search, share analysis, and rendering.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0,
+        help="log to stderr: -v sweep summaries (INFO), -vv each solved quotient too (DEBUG)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph file")
@@ -513,28 +519,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _log_to_stderr(verbosity: int):
+    """Write the ``tumbling`` logger to stderr while the command runs: INFO
+    with one ``-v``, DEBUG with two or more.  Without ``-v`` nothing changes;
+    stdout is never touched."""
+    if not verbosity:
+        yield
+        return
+    log = logging.getLogger("tumbling")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG if verbosity > 1 else logging.INFO)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        code = args.func(args)
-        # flushed here, so that a closed pipe raises below, not at exit
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader of stdout is gone (`tb ... | head`): send the unflushed
-        # rest to os.devnull, as Python's SIGPIPE notes advise, so that the
-        # flush at exit prints no second error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    except (InfeasibleError, NoValidQuotientError, DegenerateQuotientError, NotBipartiteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        # usage and parse errors: a ParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _log_to_stderr(args.verbose):
+        try:
+            code = args.func(args)
+            # flushed here, so that a closed pipe raises below, not at exit
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader of stdout is gone (`tb ... | head`): send the unflushed
+            # rest to os.devnull, as Python's SIGPIPE notes advise, so that the
+            # flush at exit prints no second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
+        except (InfeasibleError, NoValidQuotientError, DegenerateQuotientError, NotBipartiteError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (FileNotFoundError, ValueError, KeyError) as exc:
+            # usage and parse errors: a ParseError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -214,6 +214,26 @@ def test_density_gamma_op(capsys):
     assert "target: d = 2/9 -> met" in out
 
 
+def test_verbose_logs_the_sweep_to_stderr_and_leaves_stdout_alone(capsys, monkeypatch):
+    """-v writes the INFO sweep summary (proof nodes and seconds) to stderr,
+    -vv adds a DEBUG line per solved quotient; stdout is byte-identical."""
+    monkeypatch.setenv("TB_THREADS", "1")
+    argv = ("density", "--param", "ld", "--max-det", "8")
+    code, quiet_out, quiet_err = run(capsys, *argv)
+    assert code == 0 and "sweep" not in quiet_err
+    code, info_out, info_err = run(capsys, "-v", *argv)
+    assert (code, info_out) == (0, quiet_out)
+    assert "INFO tumbling: ld sweep to det 8:" in info_err and " nodes in " in info_err
+    assert "DEBUG" not in info_err
+    code, debug_out, debug_err = run(capsys, "-vv", *argv)
+    assert (code, debug_out) == (0, quiet_out)
+    assert "INFO tumbling: ld sweep to det 8:" in debug_err
+    assert "DEBUG tumbling: ld on " in debug_err and "orbit of" in debug_err
+    # the handler leaves with the command
+    code, _out, err = run(capsys, *argv)
+    assert "sweep" not in err
+
+
 def test_density_emit_verify(capsys, tmp_path):
     rec = tmp_path / "density.json"
     code, out, _ = run(capsys, "density", "--param", "gamma", "--max-det", "10",

@@ -486,16 +486,23 @@ def test_orbital_solve_matches_plain_solve(kind):
 
 #: proof nodes of the det <= 12 sweeps, summed over the representatives.
 #: Before tight-packing fixing in the cover kernels: LD 12,595, IC 19,978,
-#: OLD 45,929.
-SWEEP_12_NODES = {ParamKind.LD: 6_316, ParamKind.IC: 10_575, ParamKind.OLD: 16_036}
+#: OLD 45,929; with it, before the narrowest-first packing bound: LD 6,316,
+#: IC 10,575, OLD 16,036.
+SWEEP_12_NODES = {ParamKind.LD: 2_311, ParamKind.IC: 4_473, ParamKind.OLD: 12_316}
+#: proof nodes of the det <= 16 LD sweep (about 0.4 s); 88,321 before the
+#: narrowest-first packing bound
+SWEEP_16_LD_NODES = 23_228
+_SWEEP_PINS = [pytest.param(kind, 12, nodes, id=kind.value) for kind, nodes in SWEEP_12_NODES.items()] + [
+    pytest.param(ParamKind.LD, 16, SWEEP_16_LD_NODES, id="ld-det16")
+]
 
 
-@pytest.mark.parametrize("kind", list(SWEEP_12_NODES), ids=lambda k: k.value)
-def test_sweep_proof_nodes_are_pinned(kind):
+@pytest.mark.parametrize("kind, max_det, nodes", _SWEEP_PINS)
+def test_sweep_proof_nodes_are_pinned(kind, max_det, nodes):
     """Node counts do not depend on the machine, so a lost prune shows here
     as a count, not only as seconds."""
-    _quots, _orbits, solved = density_mod._solve_orbits(kind, 12, threads=1)
-    assert sum(rec.stats.nodes for rec in solved.values()) == SWEEP_12_NODES[kind]
+    _quots, _orbits, solved = density_mod._solve_orbits(kind, max_det, threads=1)
+    assert sum(rec.stats.nodes for rec in solved.values()) == nodes
 
 
 def test_orbital_solve_reproduces_the_canonical_fixture():

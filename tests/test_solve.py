@@ -434,10 +434,12 @@ def _meets_pack(s, cov, forced, banned, target, cap):
 
 #: sha256 of repr() of every cover_feasible and pack_feasible return, in
 #: call order, over the seeded cases of test_feasibility_kernel_contract, as
-#: the separate feasibility searches returned them before each engine became
-#: one search run against a fixed bound.  A search that finds a different
-#: valid set fails here.
-FEASIBLE_DIGEST = "49c190f0c8ba9176829354d8f4f13454412900d2cc3a11b4191258742bffda47"
+#: the kernels return them with the cover search's narrowest-first packing
+#: bound.  A search that finds a different valid set fails here.  The bound
+#: moves where tight packing fires, so one of the 1,694 cover_feasible
+#: returns differs from the scan-order packing's, whose digest was
+#: 49c190f0c8ba9176829354d8f4f13454412900d2cc3a11b4191258742bffda47.
+FEASIBLE_DIGEST = "f38df2a2cde93c616b89c11143b27ec8d80400c53f33e1b43028f290c97a224f"
 
 
 def test_feasibility_kernel_contract(kernel, k1):
@@ -527,7 +529,8 @@ def _roots_cases():
 #: pruning rule changes them and nothing else.
 PLAIN_SEARCH_DIGEST = "f1917d05ac407cd3559b9d2620fac36abd2c20ca5050e58355d2ea8b08176531"
 #: solve_cover nodes summed over those plain searches before the tight-packing
-#: rule; the rule brings them to 249
+#: rule; the rule brought them to 249, and packing the bound narrowest first
+#: to 193
 PLAIN_COVER_NODES = 344
 
 
@@ -565,6 +568,13 @@ def test_optimizing_kernel_roots_contract(kernel):
         cover_nodes += cover[2]
     assert hashlib.sha256(repr(plain).encode()).hexdigest() == PLAIN_SEARCH_DIGEST
     assert cover_nodes <= PLAIN_COVER_NODES
+
+
+def test_cover_search_packs_its_bound_narrowest_first():
+    """Packed in scan order, the wide 0b111 takes every vertex and the bound
+    is 1, so the root branches; packed narrowest first, 0b001 and 0b100 are
+    disjoint, the bound reaches the greedy cover's 2 and the root closes."""
+    assert _kernels_py.solve_cover(3, [0b111, 0b001, 0b100]) == (2, 0b101, 1)
 
 
 def test_pack_search_closes_a_node_its_size_cap_cannot_lift():
