@@ -36,26 +36,26 @@ subtrees holding no set that beats the bound, so optima, infeasibility
 verdicts and canonical witnesses are the plain search's; node counts, and
 the optimizing witness among equal optima, may differ.
 
-The pack search reads a conflict table (``conflicts``: which vertices'
-coverage masks overlap).  Both packing kernels take it as ``conf``;
-``solvers`` builds it once per solve and hands it to the proof and to every
-call of the canonical pass.  It closes a node by two upper bounds on what
-the subtree can still cover: the union of the available vertices' gains,
-and the best single gain times ``cap - count``, the vertices that may still
-join under the size cap.  The cap bound removes only subtrees holding no set
-that beats the bound and leaves the depth-first order alone, so every
-feasibility call returns the same mask as without it; it pays in the
-canonical pass, whose calls cap the size.  A proof's cap is n, and there
-the union, at most ``n - count`` gains, always closes first: proof node
-counts are the plain union bound's.
+The pack search reads a conflict table, ``conf``: bit b of entry a is set
+when b != a and the coverage masks of a and b overlap.  Both packing
+kernels are always passed it; ``solvers._conflicts`` builds it once per
+solve, for the proof and every call of the canonical pass.  The search
+closes a node by two upper bounds on what the subtree can still cover: the
+union of the available vertices' gains, and the best single gain times
+``cap - count``, the vertices that may still join under the size cap.  The
+cap bound removes only subtrees holding no set that beats the bound and
+leaves the depth-first order alone, so every feasibility call returns the
+same mask as without it; it pays in the canonical pass, whose calls cap
+the size.  A proof's cap is n, and there the union, at most ``n - count``
+gains, always closes first: proof node counts are the plain union bound's.
 
 Every search runs from ``roots``, ``(forced, banned)`` vertex masks searched
 in turn against the one bound; a feasibility kernel has the one root of its
 call.  A root conflicting with itself (forced & banned; for packing, two
 forced vertices with overlapping coverage, or more than the size cap) is
 skipped; a packing root starts from its forced vertices' coverage.  The
-optimizing kernels return a witness meeting some root, raise ValueError
-when no root admits a set, and default to ``((0, 0),)``, the plain search.
+optimizing kernels return a witness meeting some root and raise ValueError
+when no root admits a set; the one root ``(0, 0)`` is the plain search.
 Roots are how a caller that knows the graph's symmetry (``density`` on a
 toroidal quotient) searches one branch per vertex orbit instead of every
 symmetric copy of each optimum; the kernels assume no symmetry themselves.
@@ -172,7 +172,7 @@ def _cover_search(
     return bound, witness, nodes
 
 
-def solve_cover(n: int, masks: list[int], roots: Roots = ((0, 0),)) -> tuple[int, int, int]:
+def solve_cover(n: int, masks: list[int], roots: Roots) -> tuple[int, int, int]:
     """Minimum hitting set of the requirement masks among the sets that meet
     some root's constraints.
 
@@ -201,29 +201,6 @@ def cover_feasible(n: int, masks: list[int], forced: int, banned: int, limit: in
     return _cover_search(masks, ((forced, banned),), limit + 1, None, True)[1]
 
 
-def conflicts(cov: list[int]) -> list[int]:
-    """Conflict table of a packing: bit b of entry a is set when b != a and
-    ``cov[a] & cov[b]``.  Built from coverage incidence: entry a is the OR,
-    over the vertices x in ``cov[a]``, of the vertices whose coverage holds
-    x."""
-    holders = [0] * max((m.bit_length() for m in cov), default=0)
-    for a, m in enumerate(cov):
-        bit = 1 << a
-        while m:
-            low = m & -m
-            m ^= low
-            holders[low.bit_length() - 1] |= bit
-    conf = []
-    for a, m in enumerate(cov):
-        near = 0
-        while m:
-            low = m & -m
-            m ^= low
-            near |= holders[low.bit_length() - 1]
-        conf.append(near & ~(1 << a))
-    return conf
-
-
 def _pack_start(n: int, cov: list[int], conf: list[int], forced: int, banned: int) -> tuple[int, int] | None:
     """(available, covered) masks once the forced vertices are taken, or None
     when they overlap the banned ones or conflict with each other."""
@@ -244,14 +221,11 @@ def _pack_start(n: int, cov: list[int], conf: list[int], forced: int, banned: in
 
 
 def _pack_search(
-    n: int, cov: list[int], conf: list[int] | None, roots: Roots, bound: int, cap: int, first: bool
+    n: int, cov: list[int], conf: list[int], roots: Roots, bound: int, cap: int, first: bool
 ) -> tuple[int, int | None, int]:
     """Conflict-free sets of at most ``cap`` vertices covering more than
     ``bound`` that meet some root.  Returns the last kept set's (coverage,
-    mask), or the bound and None, and the node count.  ``conf`` is
-    ``conflicts(cov)``, built here when None."""
-    if conf is None:
-        conf = conflicts(cov)
+    mask), or the bound and None, and the node count."""
     witness = None
     nodes = 0
 
@@ -298,16 +272,14 @@ def _pack_search(
     return bound, witness, nodes
 
 
-def solve_pack(
-    n: int, cov: list[int], roots: Roots = ((0, 0),), conf: list[int] | None = None
-) -> tuple[int, int, int]:
+def solve_pack(n: int, cov: list[int], roots: Roots, conf: list[int]) -> tuple[int, int, int]:
     """Maximum coverage by pairwise-disjoint coverage masks among the sets
     that meet some root's constraints.
 
     Returns (covered count, witness mask, explored node count).  The witness
     is a conflict-free set; its coverage masks are pairwise disjoint.  Raises
-    ValueError when no root admits a conflict-free set.  ``conf``, when
-    given, is ``conflicts(cov)``.
+    ValueError when no root admits a conflict-free set.  ``conf`` is the
+    conflict table of ``cov``.
     """
     best, witness, nodes = _pack_search(n, cov, conf, roots, -1, n, False)
     if witness is None:
@@ -316,20 +288,12 @@ def solve_pack(
 
 
 def pack_feasible(
-    n: int,
-    cov: list[int],
-    forced: int,
-    banned: int,
-    target: int,
-    size_cap: int | None = None,
-    conf: list[int] | None = None,
+    n: int, cov: list[int], forced: int, banned: int, target: int, size_cap: int, conf: list[int]
 ) -> int | None:
     """A conflict-free S >= forced avoiding banned with coverage >= target
-    (and, when given, |S| <= size_cap): the mask of one such S, or None when
-    there is none.  The empty set (mask 0) is a witness whenever target <= 0.
-    A node closes once its ``size_cap - count`` remaining vertices, each
-    covering at most the best gain, cannot reach ``target`` (module
-    docstring).  ``conf``, when given, is ``conflicts(cov)``, so that the
-    many calls of one canonical pass build it once."""
-    cap = n if size_cap is None else size_cap
-    return _pack_search(n, cov, conf, ((forced, banned),), target - 1, cap, True)[1]
+    and |S| <= size_cap: the mask of one such S, or None when there is none.
+    The empty set (mask 0) is a witness whenever target <= 0.  A node closes
+    once its ``size_cap - count`` remaining vertices, each covering at most
+    the best gain, cannot reach ``target`` (module docstring).  ``conf`` is
+    the conflict table of ``cov``."""
+    return _pack_search(n, cov, conf, ((forced, banned),), target - 1, size_cap, True)[1]

@@ -96,12 +96,16 @@ def _add_graph_source_args(p: argparse.ArgumentParser, with_input: bool = True):
     p.add_argument("--quotient", help="lattice quotient a,c,d")
 
 
-def _parse_quotient(text: str) -> LatticeQuotient:
+def _parse_ints(flag: str, text: str, names: str) -> list[int]:
+    """The comma-separated integers of ``flag``, one for each of ``names``
+    ("i,j" or "a,c,d"); ValueError, naming the flag, when they are not."""
     try:
-        a, c, d = (int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"quotient must be a,c,d integers, got {text!r}") from exc
-    return LatticeQuotient(a, c, d)
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(names.split(",")):
+        raise ValueError(f"{flag} must be {names} integers, got {text!r}")
+    return values
 
 
 def _resolve_graph(args) -> tuple[FiniteGraph, GraphDocument]:
@@ -120,7 +124,7 @@ def _resolve_graph(args) -> tuple[FiniteGraph, GraphDocument]:
         source = {"family": args.family, "rows": args.rows, "cols": args.cols}
         return g, document_from_graph(g, source)
     if args.quotient:
-        q = _parse_quotient(args.quotient)
+        q = LatticeQuotient(*_parse_ints("--quotient", args.quotient, "a,c,d"))
         _check_emittable(args, 3 * q.det, 6 * q.det)
         g = build_quotient(q)
         return g, document_from_graph(g, {"quotient": [q.a, q.c, q.d]})
@@ -408,8 +412,7 @@ def cmd_hamilton(args) -> int:
     a, b, balanced = bipartite_balance(g)
     cert = None
     if args.cut:
-        ci, cj = (int(x) for x in args.cut.split(","))
-        addrs = hex_ball_cut_set(ci, cj)
+        addrs = hex_ball_cut_set(*_parse_ints("--cut", args.cut, "i,j"))
         missing = [a_ for a_ in addrs if not g.has_label(a_)]
         if missing:
             raise ValueError(f"cut vertices outside graph: {missing[:3]} ...")

@@ -51,11 +51,10 @@ from fractions import Fraction
 
 from . import quotient
 from .graph import FiniteGraph
-from .lattice import FamilyKind, FamilySpec, VertexAddr, build_family
+from .lattice import FamilyKind, FamilySpec, VertexAddr, ball_offsets, build_family
 from .quotient import (
     LatticeQuotient,
     LatticeSymmetry,
-    _ball_offsets,
     build_quotient,
     enumerate_hnf,
     induces_isomorphism,
@@ -161,8 +160,7 @@ def _induced_map(src: FiniteGraph, dst: FiniteGraph, q: LatticeQuotient, f, what
     Raises RuntimeError(what) unless the map is a bijection that carries the
     edges of ``src`` onto the edges of ``dst``.
     """
-    index = {lab: k for k, lab in enumerate(dst.labels)}
-    phi = [index[q.reduce_addr(f(lab))] for lab in src.labels]
+    phi = [dst.index_of(q.reduce_addr(f(lab))) for lab in src.labels]
     if sorted(phi) != list(range(dst.n)) or any(
         {phi[y] for y in src.adj[x]} != set(dst.adj[phi[x]]) for x in range(src.n)
     ):
@@ -385,11 +383,11 @@ def perfect_open_pattern(max_det: int) -> DensityRecord:
 def _interior(window: FiniteGraph, radius: int) -> list[int]:
     """The vertices of a labeled window whose whole radius-ball in the
     lattice is in the window: every offset of the vertex's class ball
-    (:func:`tumbling.quotient._ball_offsets`) lands on a window label."""
+    (:func:`tumbling.lattice.ball_offsets`) lands on a window label."""
     present = set(window.labels)
     return [
         k for k, (cls, i, j) in enumerate(window.labels)
-        if all((c, i + di, j + dj) in present for c, di, dj in _ball_offsets(cls, radius))
+        if all((c, i + di, j + dj) in present for c, di, dj in ball_offsets(cls, radius))
     ]
 
 

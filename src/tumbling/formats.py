@@ -48,17 +48,21 @@ def document_from_graph(g: FiniteGraph, source: Optional[dict] = None) -> GraphD
 
 
 def graph_from_document(doc: GraphDocument) -> FiniteGraph:
-    """The graph of a document; ParseError unless it is a simple graph whose
-    labels, if any, are strictly increasing and make it U-bipartite."""
+    """The graph of a document; ParseError unless it is a simple graph (no
+    loop, no edge listed twice) whose labels, if any, are strictly
+    increasing and make it U-bipartite."""
     labels = None
     if doc.vertices and "cls" in doc.vertices[0]:
         labels = [
             VertexAddr(VClass[vr["cls"].upper()], vr["i"], vr["j"]) for vr in doc.vertices
         ]
     try:
-        return FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
+        g = FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
     except ValueError as exc:
         raise ParseError(f"graph document is not a valid graph: {exc}") from exc
+    if g.m != doc.m:
+        raise ParseError(f"graph document repeats an edge: {doc.m} edges listed, {g.m} distinct")
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Removing k vertices from a Hamiltonian graph leaves at most k components, so
 a vertex set whose removal leaves more components than its size certifies
 that no Hamiltonian cycle exists.  On the tumbling-block lattice, deleting
 the 19 degree-6 vertices of a radius-2 hexagonal ball isolates 24 vertices.
+That ball is read off the lattice itself: its U vertices are those within
+distance 4 of the centre (:func:`tumbling.lattice.tb_ball`), since every
+step between U vertices passes through one W or V vertex.
 """
 
 from __future__ import annotations
@@ -12,16 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import FiniteGraph, bipartition
-from .lattice import VertexAddr, u
+from .lattice import VClass, VertexAddr, tb_ball, u
 
 HAMILTON_SEARCH_MAX_N = 30
-
-#: Offsets of the hexagonal radius-2 ball {|di| <= 2, |dj| <= 2, |di-dj| <= 2}.
-CUT_OFFSETS = (
-    (0, 0), (0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0), (1, 1), (0, 2),
-    (-1, 1), (-2, 0), (-2, -1), (-2, -2), (-1, -2), (0, -2), (1, -1),
-    (2, 0), (2, 1), (2, 2), (1, 2),
-)
 
 
 @dataclass(frozen=True)
@@ -37,8 +33,9 @@ class CutCertificate:
 
 
 def hex_ball_cut_set(i: int, j: int) -> tuple[VertexAddr, ...]:
-    """The 19 degree-6 vertices of the radius-2 hexagonal ball around u(i, j)."""
-    return tuple(sorted(u(i + di, j + dj) for di, dj in CUT_OFFSETS))
+    """The 19 degree-6 vertices of the radius-2 hexagonal ball around u(i, j):
+    the U vertices within distance 4 of it in the lattice."""
+    return tuple(sorted(x for x in tb_ball(u(i, j), 4) if x.cls == VClass.U))
 
 
 def verify_cut(g: FiniteGraph, S: Iterable[int]) -> CutCertificate:

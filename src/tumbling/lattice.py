@@ -13,6 +13,10 @@ The adjacency convention used throughout:
     w(i,j) ~ u(i,j), u(i,j-1), u(i-1,j-1)
     v(i,j) ~ u(i,j), u(i,j-1), u(i+1,j)
 
+:func:`tb_ball` walks this adjacency breadth first, and :func:`ball_offsets`
+keeps each class's ball as offsets from its centre: the quotient layer, the
+lift check and the cut certificate read the lattice's balls from here.
+
 Any convention differing by a lattice symmetry yields an isomorphic graph;
 this one is validated by the closed-form vertex/edge counts of the finite
 families, the 2:1 degree-class densities, and the 19-vertex cut certificate
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .graph import FiniteGraph
 
-#: Coordinate guard: families and quotients beyond this size would risk
-#: overflowing the closed-form count arithmetic on 64-bit platforms.
+#: Largest row or column count :class:`FamilySpec` accepts.
 MAX_EXTENT = 10**6
 
 
@@ -91,17 +95,27 @@ def tb_neighbors(addr: VertexAddr) -> list[VertexAddr]:
     ]
 
 
-def block_members(i: int, j: int) -> list[VertexAddr]:
-    """The seven vertices of block (i, j)."""
-    return [
-        u(i, j),
-        u(i, j - 1),
-        u(i + 1, j),
-        w(i, j),
-        w(i + 1, j),
-        w(i + 1, j + 1),
-        v(i, j),
-    ]
+def tb_ball(root: VertexAddr, radius: int) -> dict[VertexAddr, int]:
+    """Breadth-first distances within the given radius in the infinite lattice."""
+    dist = {root: 0}
+    frontier = [root]
+    for step in range(1, radius + 1):
+        nxt = []
+        for x in frontier:
+            for y in tb_neighbors(x):
+                if y not in dist:
+                    dist[y] = step
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@cache
+def ball_offsets(cls: VClass, radius: int) -> tuple[tuple[int, int, int], ...]:
+    """(class, di, dj) of each member of the radius-ball of a class-``cls``
+    vertex, relative to the vertex, in breadth-first order: the vertex
+    first, then its neighbours in :func:`tb_neighbors` order."""
+    return tuple(tuple(y) for y in tb_ball(VertexAddr(cls, 0, 0), radius))
 
 
 def block_edge_list(i: int, j: int) -> list[tuple[VertexAddr, VertexAddr]]:
@@ -164,13 +178,12 @@ def closed_form_counts(spec: FamilySpec) -> tuple[int, int]:
 
 
 def _graph_from_blocks(blocks: Iterable[tuple[int, int]]) -> FiniteGraph:
-    verts: set[VertexAddr] = set()
+    """The union of the blocks' edges; its vertices are their endpoints."""
     edges: set[tuple[VertexAddr, VertexAddr]] = set()
     for (i, j) in blocks:
-        verts.update(block_members(i, j))
         for a, b in block_edge_list(i, j):
             edges.add((a, b) if a <= b else (b, a))
-    labels = sorted(verts)
+    labels = sorted({x for e in edges for x in e})
     index = {lab: k for k, lab in enumerate(labels)}
     return FiniteGraph.from_edges(
         len(labels), [(index[a], index[b]) for a, b in edges], labels=labels

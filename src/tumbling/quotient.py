@@ -40,7 +40,7 @@ from functools import cache
 from typing import NamedTuple
 
 from .graph import FiniteGraph
-from .lattice import VClass, VertexAddr, tb_neighbors
+from .lattice import VClass, VertexAddr, ball_offsets, tb_neighbors
 
 
 class DegenerateQuotientError(ValueError):
@@ -98,8 +98,8 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     """Quotient graph on the 3*det orbit representatives.
 
     The neighbours of (cls, i, j) are (cls', i + di, j + dj) for the fixed
-    offsets of its class (:func:`_ball_offsets` of radius 1, after the
-    root), and each is mapped straight to the index of its orbit
+    offsets of its class (:func:`tumbling.lattice.ball_offsets` of radius 1,
+    after the root), and each is mapped straight to the index of its orbit
     (:meth:`LatticeQuotient.index`), so adjacency is built on plain integers.
 
     Raises :class:`DegenerateQuotientError` when two infinite-lattice
@@ -109,7 +109,7 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     a, c, d, det = q.a, q.c, q.d, q.det
     adj = []
     for cls in (VClass.W, VClass.U, VClass.V):
-        offsets = _ball_offsets(cls, 1)[1:]
+        offsets = ball_offsets(cls, 1)[1:]
         for i in range(a):
             for j in range(d):
                 reduced = []
@@ -126,34 +126,11 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
     return FiniteGraph(adj, labels=quotient_labels(q))
 
 
-def tb_ball(root: VertexAddr, radius: int) -> dict[VertexAddr, int]:
-    """Breadth-first distances within the given radius in the infinite lattice."""
-    dist = {root: 0}
-    frontier = [root]
-    for step in range(1, radius + 1):
-        nxt = []
-        for x in frontier:
-            for y in tb_neighbors(x):
-                if y not in dist:
-                    dist[y] = step
-                    nxt.append(y)
-        frontier = nxt
-    return dist
-
-
-@cache
-def _ball_offsets(cls: VClass, radius: int) -> tuple[tuple[int, int, int], ...]:
-    """(class, di, dj) of each member of the radius-ball of a class-``cls``
-    vertex, relative to the vertex, in breadth-first order: the vertex
-    first, then its neighbours in :func:`tb_neighbors` order."""
-    return tuple(tuple(y) for y in tb_ball(VertexAddr(cls, 0, 0), radius))
-
-
 @cache
 def _forbidden_offsets(radius: int) -> tuple[tuple[int, int], ...]:
     """Block offsets z - y between same-class vertices y != z at distance at
     most 2*radius: 6, 18 and 36 offsets for radius 1, 2 and 3."""
-    offsets = {(di, dj) for cls in VClass for c, di, dj in _ball_offsets(cls, 2 * radius)[1:] if c == cls}
+    offsets = {(di, dj) for cls in VClass for c, di, dj in ball_offsets(cls, 2 * radius)[1:] if c == cls}
     return tuple(sorted(offsets))
 
 

@@ -18,7 +18,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from ._backend import kernels_for
-from ._kernels_py import conflicts
 from .graph import FiniteGraph
 
 BRUTE_FORCE_MAX_N = 24
@@ -289,6 +288,29 @@ def _dominance_filter(masks: list[int]) -> list[int]:
     return kept
 
 
+def _conflicts(cov: list[int]) -> list[int]:
+    """Conflict table of a packing, the ``conf`` of the packing kernels: bit
+    b of entry a is set when b != a and ``cov[a] & cov[b]``.  Built from
+    coverage incidence: entry a is the OR, over the vertices x in
+    ``cov[a]``, of the vertices whose coverage holds x."""
+    holders = [0] * max((m.bit_length() for m in cov), default=0)
+    for a, m in enumerate(cov):
+        bit = 1 << a
+        while m:
+            low = m & -m
+            m ^= low
+            holders[low.bit_length() - 1] |= bit
+    conf = []
+    for a, m in enumerate(cov):
+        near = 0
+        while m:
+            low = m & -m
+            m ^= low
+            near |= holders[low.bit_length() - 1]
+        conf.append(near & ~(1 << a))
+    return conf
+
+
 def _kernel_bug(kind: ParamKind, n: int, what: str) -> RuntimeError:
     return RuntimeError(f"kernel bug: {kind.value} on n={n}: {what}")
 
@@ -406,11 +428,11 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
         fewest = limit = value
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
-        conf = conflicts(cov)
+        conf = _conflicts(cov)
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf=conf)
+        value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf)
         t_canon = time.perf_counter()
-        call = lambda forced, banned, size: kern.pack_feasible(n, cov, forced, banned, value, size, conf=conf)
+        call = lambda forced, banned, size: kern.pack_feasible(n, cov, forced, banned, value, size, conf)
         fault = lambda found: _pack_fault(cov, value, found)
         fewest, limit = _pack_size_bound(cov, value), n
 

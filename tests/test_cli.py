@@ -202,6 +202,25 @@ def test_malformed_input_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p 3 3\n0 1\n1 0\n1 2\n",
+        "p edge 3 2\ne 1 2\ne 2 1\n",
+        '{"format": "tumbling-graph/1", "source": null, "vertices": [{"id": 0}, {"id": 1}], "edges": [[0, 1], [1, 0]]}\n',
+    ],
+    ids=["edge-list", "dimacs", "json"],
+)
+def test_repeated_edge_input_exit_2(capsys, tmp_path, text):
+    """A document that lists an edge twice is not a simple graph: it is
+    refused, not solved with the copy dropped."""
+    doc = tmp_path / "repeated.txt"
+    doc.write_text(text)
+    code, out, err = run(capsys, "solve", "--input", str(doc), "--param", "gamma")
+    assert code == 2
+    assert out == "" and "repeats an edge" in err
+
+
 def test_missing_input_exit_2(capsys):
     code, _, _ = run(capsys, "solve", "--input", "/nonexistent/file", "--param", "gamma")
     assert code == 2
@@ -478,6 +497,23 @@ def test_hamilton_cut_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--input", str(rec))
     assert code == 0
     assert "OK" in out
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("hamilton", "--family", "tbp", "--rows", "7", "--cols", "7", "--cut", "1"),
+         "--cut must be i,j integers, got '1'"),
+        (("hamilton", "--family", "tbp", "--rows", "7", "--cols", "7", "--cut", "a,b"),
+         "--cut must be i,j integers, got 'a,b'"),
+        (("gen", "--quotient", "3,0"), "--quotient must be a,c,d integers, got '3,0'"),
+    ],
+    ids=["cut-one-value", "cut-not-integers", "quotient-two-values"],
+)
+def test_malformed_coordinates_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_verify_help_says_what_is_checked(capsys):

@@ -21,8 +21,8 @@ from tumbling.density import (
     search,
     valid_quotients,
 )
-from tumbling.lattice import FamilyKind, FamilySpec, build_family
-from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits, tb_ball
+from tumbling.lattice import FamilyKind, FamilySpec, build_family, tb_ball
+from tumbling.quotient import POINT_GROUP, LatticeQuotient, build_quotient, quotient_orbits
 from tumbling.solvers import InfeasibleError, ParamKind, _objective, verify_witness
 
 

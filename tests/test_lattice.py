@@ -182,3 +182,25 @@ def test_labels_are_sorted_canonically():
     g = build_family(FamilySpec(FamilyKind.TBP, 2, 2))
     assert list(g.labels) == sorted(g.labels)
     assert g.labels[0].cls == VClass.W
+
+
+def test_lattice_imports_only_the_graph_module():
+    """The lattice's own facts (neighbours, balls, blocks) rest on nothing
+    of the package but the graph type: no quotient, solver or kernel."""
+    import ast
+    from pathlib import Path
+
+    import tumbling.lattice
+
+    tree = ast.parse(Path(tumbling.lattice.__file__).read_text())
+    in_package = [
+        (node.level, node.module) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("tumbling"))
+    ]
+    assert in_package == [(1, "graph")]
+    assert not any(
+        alias.name.startswith("tumbling")
+        for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names
+    )
+    assert tumbling.lattice.tb_ball.__module__ == "tumbling.lattice"
+    assert tumbling.lattice.ball_offsets.__module__ == "tumbling.lattice"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from tumbling.graph import FiniteGraph, bipartition
-from tumbling.lattice import VClass, VertexAddr, tb_neighbors
+from tumbling.lattice import VClass, VertexAddr, tb_ball, tb_neighbors
 from tumbling.quotient import (
     POINT_GROUP,
     DegenerateQuotientError,
@@ -18,7 +18,6 @@ from tumbling.quotient import (
     induces_isomorphism,
     quotient_labels,
     quotient_orbits,
-    tb_ball,
     validate_quotient,
 )
 from tumbling.lattice import u, w

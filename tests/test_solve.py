@@ -16,6 +16,7 @@ from tumbling.solvers import (
     has_efficient_open_dominating,
     is_dominating,
     is_open_dominating,
+    _conflicts,
     _cover_requirements,
     _dominance_filter,
     solve,
@@ -219,6 +220,10 @@ def test_solve_stats_populated(block):
     assert solve(cycle(8), ParamKind.GAMMA).stats.canon_calls > 0
 
 
+#: the one unconstrained root: a kernel call from it is the plain search
+PLAIN = ((0, 0),)
+
+
 # the kernels every solver runs; one fixture, so the tests that take it keep
 # their ids
 @pytest.fixture(params=[_kernels_py], ids=["tumbling._kernels_py"])
@@ -254,11 +259,12 @@ def test_kernel_word_boundary_consistency(kernel, g, optima):
     n = g.n
     f, f_op, gamma = optima
     for cov, best in ((list(g.closed_masks()), f), (list(g.open_masks()), f_op)):
-        assert kernel.solve_pack(n, cov)[0] == best
-        assert kernel.pack_feasible(n, cov, 0, 0, best, n) is not None
-        assert kernel.pack_feasible(n, cov, 0, 0, best + 1, n) is None
+        conf = _conflicts(cov)
+        assert kernel.solve_pack(n, cov, PLAIN, conf)[0] == best
+        assert kernel.pack_feasible(n, cov, 0, 0, best, n, conf) is not None
+        assert kernel.pack_feasible(n, cov, 0, 0, best + 1, n, conf) is None
     reqs = _cover_requirements(g, ParamKind.GAMMA)
-    assert kernel.solve_cover(n, reqs)[0] == gamma
+    assert kernel.solve_cover(n, reqs, PLAIN)[0] == gamma
     assert kernel.cover_feasible(n, reqs, 0, 0, gamma) is not None
     assert kernel.cover_feasible(n, reqs, 0, 0, gamma - 1) is None
 
@@ -279,7 +285,7 @@ def test_code_kernels_across_the_word_boundary(kernel, kind, n):
     optimum, and the feasibility kernel finds a set at the optimum and none
     below it, where the packing bound is tight at the root."""
     reqs = _dominance_filter(_cover_requirements(cycle(n), kind))
-    opt, wit, _nodes = kernel.solve_cover(n, reqs)
+    opt, wit, _nodes = kernel.solve_cover(n, reqs, PLAIN)
     assert opt == CYCLE_CODE_OPTIMA[kind](n)
     assert wit.bit_count() == opt and all(m & wit for m in reqs)
     found = kernel.cover_feasible(n, reqs, 0, 0, opt)
@@ -370,10 +376,10 @@ def test_proof_witness_outside_every_root_fails_loudly(monkeypatch):
     import tumbling.solvers as solve_mod
 
     def unrooted_cover(n, reqs, roots):
-        return _kernels_py.solve_cover(n, reqs)
+        return _kernels_py.solve_cover(n, reqs, PLAIN)
 
-    def unrooted_pack(n, cov, roots, conf=None):
-        return _kernels_py.solve_pack(n, cov, conf=conf)
+    def unrooted_pack(n, cov, roots, conf):
+        return _kernels_py.solve_pack(n, cov, PLAIN, conf)
 
     stub = types.SimpleNamespace(MAX_N=_kernels_py.MAX_N, solve_cover=unrooted_cover, solve_pack=unrooted_pack)
     monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
@@ -396,7 +402,7 @@ def test_conflict_table_matches_the_pairwise_definition():
         pairwise = [
             sum(1 << b for b in range(n) if b != a and cov[a] & cov[b]) for a in range(n)
         ]
-        assert _kernels_py.conflicts(cov) == pairwise, (trial, cov)
+        assert _conflicts(cov) == pairwise, (trial, cov)
 
 
 def test_pack_size_bound_never_exceeds_the_fewest_vertices():
@@ -450,8 +456,9 @@ def test_feasibility_kernel_contract(kernel, k1):
 
     # K1 under f-op: the empty packing reaches target 0, and its witness is
     # the mask 0, not None
-    assert kernel.pack_feasible(1, list(k1.open_masks()), 0, 0, 0, 0) == 0
-    assert kernel.pack_feasible(1, list(k1.open_masks()), 0, 0, 1) is None
+    k1_cov = list(k1.open_masks())
+    assert kernel.pack_feasible(1, k1_cov, 0, 0, 0, 0, _conflicts(k1_cov)) == 0
+    assert kernel.pack_feasible(1, k1_cov, 0, 0, 1, 1, _conflicts(k1_cov)) is None
     res = solve(k1, ParamKind.F_OP_MAX)
     assert (res.value, res.witness) == (0, ())
     rng = random.Random(20261018)
@@ -479,9 +486,9 @@ def test_feasibility_kernel_contract(kernel, k1):
             cov = list(g.closed_masks() if rng.random() < 0.5 else g.open_masks())
             target = rng.randint(0, n)
             cap = rng.choice((None, rng.randint(0, n)))
-            found = kernel.pack_feasible(n, cov, forced, banned, target, cap)
-            returns.append(found)
             bound = n if cap is None else cap
+            found = kernel.pack_feasible(n, cov, forced, banned, target, bound, _conflicts(cov))
+            returns.append(found)
             exists = any(_meets_pack(s, cov, forced, banned, target, bound) for s in subsets)
             assert (found is not None) == exists, (trial, cov, forced, banned, target, cap)
             if found is not None:
@@ -523,10 +530,10 @@ def _roots_cases():
         yield n, reqs, cov, roots
 
 
-#: sha256 of repr([(solve_cover(n, reqs)[:2], solve_pack(n, cov)[:2]) for
-#: each case of _roots_cases()]): the (value, witness) pairs the kernels
-#: returned before they took roots.  Node counts are left out, since an exact
-#: pruning rule changes them and nothing else.
+#: sha256 of repr([(solve_cover(n, reqs, PLAIN)[:2], solve_pack(n, cov,
+#: PLAIN, conf)[:2]) for each case of _roots_cases()]): the (value, witness)
+#: pairs the kernels returned before they took roots.  Node counts are left
+#: out, since an exact pruning rule changes them and nothing else.
 PLAIN_SEARCH_DIGEST = "f1917d05ac407cd3559b9d2620fac36abd2c20ca5050e58355d2ea8b08176531"
 #: solve_cover nodes summed over those plain searches before the tight-packing
 #: rule; the rule brought them to 249, and packing the bound narrowest first
@@ -536,8 +543,9 @@ PLAIN_COVER_NODES = 344
 
 def test_optimizing_kernel_roots_contract(kernel):
     """The optimum over the sets that meet some root equals plain
-    enumeration's, the witness meets a root, a ValueError means no root
-    admits a set, and the default roots are the plain search."""
+    enumeration's, the witness meets a root, and a ValueError means no root
+    admits a set.  The plain search, from the one root (0, 0), finds the
+    (value, witness) pairs it found before the kernels took roots."""
     import hashlib
 
     plain = []
@@ -552,18 +560,18 @@ def test_optimizing_kernel_roots_contract(kernel):
             with pytest.raises(ValueError):
                 kernel.solve_cover(n, reqs, roots)
 
+        conf = _conflicts(cov)
         packs = [_pack_value(s, cov) for s in range(1 << n) if _meets_root(s, roots)]
         packs = [v for v in packs if v is not None]
         if packs:
-            value, wit, _nodes = kernel.solve_pack(n, cov, roots)
+            value, wit, _nodes = kernel.solve_pack(n, cov, roots, conf)
             assert value == max(packs), (n, cov, roots)
             assert _pack_value(wit, cov) == value and _meets_root(wit, roots)
         else:
             with pytest.raises(ValueError):
-                kernel.solve_pack(n, cov, roots)
+                kernel.solve_pack(n, cov, roots, conf)
 
-        cover, pack = kernel.solve_cover(n, reqs), kernel.solve_pack(n, cov)
-        assert (cover, pack) == (kernel.solve_cover(n, reqs, ((0, 0),)), kernel.solve_pack(n, cov, [(0, 0)]))
+        cover, pack = kernel.solve_cover(n, reqs, PLAIN), kernel.solve_pack(n, cov, PLAIN, conf)
         plain.append((cover[:2], pack[:2]))
         cover_nodes += cover[2]
     assert hashlib.sha256(repr(plain).encode()).hexdigest() == PLAIN_SEARCH_DIGEST
@@ -574,7 +582,7 @@ def test_cover_search_packs_its_bound_narrowest_first():
     """Packed in scan order, the wide 0b111 takes every vertex and the bound
     is 1, so the root branches; packed narrowest first, 0b001 and 0b100 are
     disjoint, the bound reaches the greedy cover's 2 and the root closes."""
-    assert _kernels_py.solve_cover(3, [0b111, 0b001, 0b100]) == (2, 0b101, 1)
+    assert _kernels_py.solve_cover(3, [0b111, 0b001, 0b100], PLAIN) == (2, 0b101, 1)
 
 
 def test_pack_search_closes_a_node_its_size_cap_cannot_lift():
@@ -582,8 +590,9 @@ def test_pack_search_closes_a_node_its_size_cap_cannot_lift():
     but two vertices cover at most 2 * 3 = 6, so a search for more than 6
     under cap 2 closes at its root (it took 13 nodes before the rule)."""
     cov = [0b111, 0b111 << 3, 0b111 << 6] + [1 << i for i in range(3, 9)]
-    assert _kernels_py._pack_search(9, cov, None, ((0, 0),), 6, 2, True) == (6, None, 1)
-    assert _kernels_py.pack_feasible(9, cov, 0, 0, 6, 2) == 0b11
+    conf = _conflicts(cov)
+    assert _kernels_py._pack_search(9, cov, conf, PLAIN, 6, 2, True) == (6, None, 1)
+    assert _kernels_py.pack_feasible(9, cov, 0, 0, 6, 2, conf) == 0b11
 
 
 #: F and F-OP on TBP 4x4 and q(4,0,4): nodes of the canonical pass's

@@ -178,6 +178,11 @@ def _share_label(doc):
     doc["vertices"][1].update({k: doc["vertices"][0][k] for k in ("cls", "i", "j")})
 
 
+def _repeat_edge(doc):
+    """List edge 0 a second time."""
+    doc["edges"].append(list(doc["edges"][0]))
+
+
 def _graph_edits(doc):
     """Edits of one graph document: every key deleted or replaced, vertex
     records and their fields deleted or replaced, edges spoiled, a label
@@ -194,7 +199,7 @@ def _graph_edits(doc):
         edits += [_setter(["edges", pos], bad) for bad in [*REPLACEMENTS, *BAD_EDGES]]
     edits.append(_share_label)
     edits.append(lambda doc: doc["vertices"].append({**doc["vertices"][-1], "id": len(doc["vertices"])}))
-    edits.append(lambda doc: doc["edges"].append(list(doc["edges"][0])))
+    edits.append(_repeat_edge)
     return edits
 
 
@@ -231,6 +236,8 @@ def test_edited_graph_documents_exit_cleanly(records, tmp_path):
     ("solve", _setter(["edges", 0], [1, 1]), "loop"),
     ("solve", _share_label, "strictly increasing"),
     ("cut", _share_label, "strictly increasing"),
+    ("solve", _repeat_edge, "repeats an edge"),
+    ("cut", _repeat_edge, "repeats an edge"),
 ])
 def test_named_graph_edits_are_parse_errors(records, tmp_path, rtype, edit, message):
     code, err = _verify(tmp_path, _with_graph(records[rtype], edit))
