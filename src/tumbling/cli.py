@@ -320,7 +320,9 @@ def cmd_verify(args) -> int:
 
 
 def _field(payload: dict, key: str, kind: type = int):
-    """``payload[key]``, which must be exactly of type ``kind`` (a bool is no int)."""
+    """``payload[key]``, present and exactly of type ``kind`` (a bool is no int)."""
+    if key not in payload:
+        raise ParseError(f"record has no field {key!r}")
     value = payload[key]
     if type(value) is not kind:
         raise ParseError(f"record field {key!r} must be {kind.__name__}, got {value!r}")
@@ -328,8 +330,8 @@ def _field(payload: dict, key: str, kind: type = int):
 
 
 def _int_list(payload: dict, key: str) -> list[int]:
-    values = payload[key]
-    if type(values) is not list or any(type(x) is not int for x in values):
+    values = _field(payload, key, list)
+    if any(type(x) is not int for x in values):
         raise ParseError(f"record field {key!r} must be a list of integers, got {values!r}")
     return values
 
@@ -349,7 +351,7 @@ def _in_range(g: FiniteGraph, witness) -> bool:
 
 def _record_graph(payload: dict) -> FiniteGraph:
     """The graph document of a solve or cut record, checked and capped."""
-    doc = document_from_payload(payload["graph"])
+    doc = document_from_payload(_field(payload, "graph", dict))
     if _over_record_cap(doc.n, doc.m):
         raise ParseError(
             f"a record's graph has at most {MAX_RECORD_VERTICES} vertices and "
@@ -360,17 +362,19 @@ def _record_graph(payload: dict) -> FiniteGraph:
 
 def _verify_solve_record(payload: dict) -> bool:
     g = _record_graph(payload)
-    kind = ParamKind(payload["param"])
+    kind = ParamKind(_field(payload, "param", str))
     witness = _int_list(payload, "witness")
     return _in_range(g, witness) and verify_witness(g, kind, witness, _field(payload, "value"))
 
 
 def _verify_density_record(payload: dict) -> bool:
-    a, c, d = _int_list(payload, "quotient")
-    q = LatticeQuotient(a, c, d)
+    acd = _int_list(payload, "quotient")
+    if len(acd) != 3:
+        raise ParseError(f"record field 'quotient' must be the 3 integers a, c, d, got {acd!r}")
+    q = LatticeQuotient(*acd)
     if q.det > MAX_RECORD_DET:
         raise ParseError(f"a density record's det is at most {MAX_RECORD_DET}, got {q.det}")
-    kind = ParamKind(payload["param"])
+    kind = ParamKind(_field(payload, "param", str))
     radius = _field(payload, "validated_radius")
     size = _field(payload, "size")
     density = _fraction(payload, "density")

@@ -1,8 +1,9 @@
 """Graph documents and their serializations (edge list, JSON, DIMACS).
 
-A :class:`GraphDocument` is the lossless interchange form: vertex records in
-canonical order (with lattice addresses when known), an edge list over ids,
-and the generator descriptor so files can be regenerated bit-identically.
+A :class:`GraphDocument` is the lossless interchange form: a vertex count,
+the vertices' lattice addresses when known, the edges over ids, and the
+source (generator descriptor) so files can be regenerated bit-identically.
+Only the JSON form writes a record per vertex.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class GraphDocument:
-    source: Optional[dict]
-    vertices: tuple[dict, ...]
-    edges: tuple[tuple[int, int], ...]
+    """A graph's vertex count, its addresses (None when unlabeled), its sorted edges and its source."""
 
-    @property
-    def n(self) -> int:
-        return len(self.vertices)
+    source: Optional[dict]
+    n: int
+    labels: Optional[tuple[VertexAddr, ...]]
+    edges: tuple[tuple[int, int], ...]
 
     @property
     def m(self) -> int:
@@ -37,27 +37,15 @@ class GraphDocument:
 
 
 def document_from_graph(g: FiniteGraph, source: Optional[dict] = None) -> GraphDocument:
-    if g.labels is not None:
-        vertices = tuple(
-            {"id": k, "cls": str(lab.cls), "i": lab.i, "j": lab.j}
-            for k, lab in enumerate(g.labels)
-        )
-    else:
-        vertices = tuple({"id": k} for k in range(g.n))
-    return GraphDocument(source=source, vertices=vertices, edges=tuple(sorted(g.edges())))
+    return GraphDocument(source=source, n=g.n, labels=g.labels, edges=tuple(sorted(g.edges())))
 
 
 def graph_from_document(doc: GraphDocument) -> FiniteGraph:
     """The graph of a document; ParseError unless it is a simple graph (no
     loop, no edge listed twice) whose labels, if any, are strictly
     increasing and make it U-bipartite."""
-    labels = None
-    if doc.vertices and "cls" in doc.vertices[0]:
-        labels = [
-            VertexAddr(VClass[vr["cls"].upper()], vr["i"], vr["j"]) for vr in doc.vertices
-        ]
     try:
-        g = FiniteGraph.from_edges(doc.n, doc.edges, labels=labels)
+        g = FiniteGraph.from_edges(doc.n, doc.edges, labels=doc.labels)
     except ValueError as exc:
         raise ParseError(f"graph document is not a valid graph: {exc}") from exc
     if g.m != doc.m:
@@ -82,11 +70,15 @@ def to_dimacs(doc: GraphDocument) -> str:
 
 
 def to_payload(doc: GraphDocument) -> dict:
-    """The JSON object of a document, as ``to_json`` writes it."""
+    """The JSON object of a document, as ``to_json`` writes it; the only
+    writer of vertex records."""
+    vertices = [{"id": k} for k in range(doc.n)]
+    for vr, lab in zip(vertices, doc.labels or ()):
+        vr.update(cls=str(lab.cls), i=lab.i, j=lab.j)
     return {
         "format": FORMAT_VERSION,
         "source": doc.source,
-        "vertices": list(doc.vertices),
+        "vertices": vertices,
         "edges": [list(e) for e in sorted(doc.edges)],
     }
 
@@ -115,9 +107,12 @@ def _parse_edge_header(line: str, dimacs: bool) -> tuple[int, int]:
     if len(parts) != want:
         raise ParseError(f"malformed header line {line!r}")
     try:
-        return int(parts[-2]), int(parts[-1])
+        n, m = int(parts[-2]), int(parts[-1])
     except ValueError as exc:
         raise ParseError(f"malformed header line {line!r}") from exc
+    if n < 0 or m < 0:
+        raise ParseError(f"header line {line!r} has a negative count")
+    return n, m
 
 
 def parse_document(text: str) -> GraphDocument:
@@ -156,8 +151,7 @@ def parse_document(text: str) -> GraphDocument:
         edges.append((a, b) if a < b else (b, a))
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    vertices = tuple({"id": k} for k in range(n))
-    return GraphDocument(source=None, vertices=vertices, edges=tuple(sorted(edges)))
+    return GraphDocument(source=None, n=n, labels=None, edges=tuple(sorted(edges)))
 
 
 def document_from_payload(payload) -> GraphDocument:
@@ -176,8 +170,8 @@ def document_from_payload(payload) -> GraphDocument:
     if type(records) is not list or type(pairs) is not list:
         raise ParseError("a graph document's vertices and edges must be lists")
     labeled = bool(records) and isinstance(records[0], dict) and "cls" in records[0]
-    vertices = tuple(_vertex_record(vr, k, labeled) for k, vr in enumerate(records))
-    n = len(vertices)
+    addrs = tuple(_vertex_record(vr, k, labeled) for k, vr in enumerate(records))
+    n = len(addrs)
     edges = []
     for pair in pairs:
         if type(pair) is not list or len(pair) != 2 or any(type(x) is not int for x in pair):
@@ -186,22 +180,23 @@ def document_from_payload(payload) -> GraphDocument:
         if not (0 <= a < n and 0 <= b < n):
             raise ParseError(f"edge {a} {b} out of range for n={n}")
         edges.append((a, b))
-    return GraphDocument(source=payload.get("source"), vertices=vertices, edges=tuple(sorted(edges)))
+    labels = addrs if labeled else None
+    return GraphDocument(source=payload.get("source"), n=n, labels=labels, edges=tuple(sorted(edges)))
 
 
-def _vertex_record(vr, k: int, labeled: bool) -> dict:
-    """Vertex record ``k`` of a document, checked; with an address iff ``labeled``."""
+def _vertex_record(vr, k: int, labeled: bool) -> Optional[VertexAddr]:
+    """The checked address of vertex record ``k``, or None unless ``labeled``."""
     if not isinstance(vr, dict) or type(vr.get("id")) is not int or vr["id"] != k:
         raise ParseError(f"vertex record {k} must be an object with id {k}, got {vr!r}")
     if not labeled:
         if "cls" in vr:
             raise ParseError(f"vertex record {k} has an address, but vertex 0 has none")
-        return {"id": k}
+        return None
     cls, i, j = vr.get("cls"), vr.get("i"), vr.get("j")
     named = isinstance(cls, str) and cls.upper() in VClass.__members__
     if not named or type(i) is not int or type(j) is not int:
         raise ParseError(f"vertex record {k} needs cls w, u or v and integer i, j, got {vr!r}")
-    return {"id": k, "cls": cls, "i": i, "j": j}
+    return VertexAddr(VClass[cls.upper()], i, j)
 
 
 def load_document(path: str) -> GraphDocument:

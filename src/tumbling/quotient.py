@@ -104,7 +104,8 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
 
     Raises :class:`DegenerateQuotientError` when two infinite-lattice
     neighbors of some vertex fall into the same orbit (the quotient would
-    need a parallel edge) or a neighbor falls onto the vertex itself.
+    need a parallel edge).  No neighbor falls onto the vertex itself: it is
+    of another class, and the classes' indices are disjoint blocks of det.
     """
     a, c, d, det = q.a, q.c, q.d, q.det
     adj = []
@@ -117,8 +118,7 @@ def build_quotient(q: LatticeQuotient) -> FiniteGraph:
                     # q.index(ncls, i + di, j + dj), inlined: this loop is hot
                     k, jj = divmod(j + dj, d)
                     reduced.append(ncls * det + (i + di - k * c) % a * d + jj)
-                here = len(adj)  # the index of (cls, i, j)
-                if len(set(reduced)) != len(reduced) or here in reduced:
+                if len(set(reduced)) != len(reduced):
                     raise DegenerateQuotientError(
                         f"quotient {q} folds the neighborhood of {VertexAddr(cls, i, j)}"
                     )

@@ -221,6 +221,16 @@ def test_repeated_edge_input_exit_2(capsys, tmp_path, text):
     assert out == "" and "repeats an edge" in err
 
 
+@pytest.mark.parametrize("header", ["p -1 0", "p edge -1 0"], ids=["edge-list", "dimacs"])
+def test_negative_header_count_exit_2(capsys, tmp_path, header):
+    """A negative vertex count is refused, not read as the empty graph."""
+    doc = tmp_path / "negative.txt"
+    doc.write_text(header + "\n")
+    code, out, err = run(capsys, "solve", "--input", str(doc), "--param", "gamma")
+    assert (code, out) == (2, "")
+    assert repr(header) in err
+
+
 def test_missing_input_exit_2(capsys):
     code, _, _ = run(capsys, "solve", "--input", "/nonexistent/file", "--param", "gamma")
     assert code == 2

@@ -1,6 +1,7 @@
 """Graph document serialization and parsing round trips."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from tumbling.formats import (
     serialize,
     to_payload,
 )
-from tumbling.lattice import FamilyKind, FamilySpec, build_family
+from tumbling.lattice import FamilyKind, FamilySpec, build_family, u, w
 from tumbling.quotient import LatticeQuotient, build_quotient
 
 
@@ -89,6 +90,36 @@ def test_parse_errors():
         parse_document('{"format": "something-else"}')
     with pytest.raises(ParseError):
         parse_document("{not json")
+    with pytest.raises(ParseError, match="'p -1 0'"):
+        parse_document("p -1 0\n")  # negative vertex count
+    with pytest.raises(ParseError, match="'p edge -1 0'"):
+        parse_document("p edge -1 0\n")
+
+
+def test_parsing_is_bounded_by_the_file_not_the_header():
+    """A header's vertex count is stored, not expanded into a record per
+    vertex, so a one-line file parses in little memory."""
+    tracemalloc.start()
+    try:
+        doc = parse_document("p 1000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (doc.n, doc.m, doc.labels) == (1000000, 0, None)
+    assert peak < 1_000_000
+
+
+def test_an_upper_case_class_is_written_back_in_lower_case():
+    text = json.dumps({
+        "format": "tumbling-graph/1",
+        "source": None,
+        "vertices": [{"id": 0, "cls": "W", "i": 0, "j": 0}, {"id": 1, "cls": "u", "i": 0, "j": 0}],
+        "edges": [[0, 1]],
+    })
+    doc = parse_document(text)
+    assert doc.labels == (w(0, 0), u(0, 0))
+    assert graph_from_document(doc).labels == (w(0, 0), u(0, 0))
+    assert [vr["cls"] for vr in to_payload(doc)["vertices"]] == ["w", "u"]
 
 
 def test_payload_round_trip():

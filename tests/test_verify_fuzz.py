@@ -260,3 +260,30 @@ def test_emit_refuses_a_graph_over_the_cap(tmp_path):
                             "--cut", "4,4", "--emit", str(path)])
     assert code == 2 and "--emit" in err
     assert not path.exists()
+
+
+#: the fields each record type must carry
+REQUIRED = {
+    "solve": ("graph", "param", "witness", "value"),
+    "density": ("param", "quotient", "size", "density", "witness", "validated_radius"),
+    "cut": ("graph", "removed", "components_after", "isolated_after"),
+}
+#: ``type`` selects the record type; the others may be left out
+OPTIONAL = {"type", "exact_cover", "stats", "backend", "version"}
+
+
+@pytest.mark.parametrize("rtype, field", [(r, f) for r, fields in REQUIRED.items() for f in fields])
+def test_a_missing_field_is_named(records, tmp_path, rtype, field):
+    assert set(records[rtype]) - set(REQUIRED[rtype]) <= OPTIONAL
+    payload = copy.deepcopy(records[rtype])
+    _setter([field], DELETE)(payload)
+    code, err = _verify(tmp_path, payload)
+    assert code == 2
+    assert f"record has no field {field!r}" in err
+
+
+@pytest.mark.parametrize("bad", [[3, 0], [3, 0, 4, 1], []], ids=["two", "four", "none"])
+def test_a_quotient_of_other_than_three_integers_is_named(records, tmp_path, bad):
+    code, err = _verify(tmp_path, {**records["density"], "quotient": bad})
+    assert code == 2
+    assert "record field 'quotient'" in err
