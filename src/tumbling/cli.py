@@ -236,7 +236,7 @@ def cmd_solve(args) -> int:
     print(
         f"stats: nodes={result.stats.nodes} elapsed={result.stats.elapsed:.3f}s "
         f"proof={result.stats.proof_s:.3f}s canon={result.stats.canon_s:.3f}s "
-        f"canon_calls={result.stats.canon_calls} backend={backend_name()}"
+        f"canon_calls={result.stats.canon_calls} backend={backend_name()} parts={result.stats.parts}"
     )
     return 0 if ok else 1
 

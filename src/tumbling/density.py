@@ -299,8 +299,8 @@ def _solve_orbits(
     orbit_size = Counter(rep for rep, _g in orbits.values())
     for q, record in solved.items():
         _log.debug(
-            "%s on %s: orbit of %d, %d nodes, %.3fs",
-            kind.value, q, orbit_size[q], record.stats.nodes, record.stats.elapsed,
+            "%s on %s: orbit of %d, %d nodes, %d parts, %.3fs",
+            kind.value, q, orbit_size[q], record.stats.nodes, record.stats.parts, record.stats.elapsed,
         )
     if len(solved) < len(reps):
         extent = f"stopped at density 1 after {len(solved)} of {len(reps)} representatives"

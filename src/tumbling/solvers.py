@@ -7,6 +7,30 @@ maximization parameters (efficient domination and efficient open domination)
 reduce to maximum disjoint-neighborhood packing.  Branch and bound proves
 optimality; ``brute_force`` re-derives every value by plain enumeration and
 serves as the independent oracle in the test suite.
+
+Before the proof, ``solve`` splits what it searches into parts with
+disjoint vertex supports (:func:`_parts`): the connected components of a
+cover's dominance-filtered requirement masks, and of a packing's coverage
+masks (two vertices conflict exactly when their coverage masks meet, so
+these are the components of the conflict table).  No requirement of one
+part holds a vertex of another, and no vertex of one part conflicts with a
+vertex of another, so a set meets the kind's conditions exactly when its
+trace on every part does.  The optimum is then the sum of the parts'
+optima, and the union of an optimal set of each part is optimal.  The
+tumbling-block lattice is bipartite (U against W and V), and every open
+neighbourhood lies on one side, so gamma-op, OLD and F-OP fall apart into
+at least two parts, and the proof no longer searches the product of two
+independent problems.
+
+Roots are the one thing the parts share: a root constrains every part at
+once, and a set must meet one root on all of them together.  So each root
+is valued on its own (:func:`_prove_apart`): each part is searched from
+that root's restriction to the part's support, the parts' optima are
+summed (with the forced vertices of a cover that lie outside every part),
+and the best root wins, the first among ties.  Taking each part's best
+root separately could join the forced vertices of two roots into a set
+that meets neither.  A family of one part makes the one multi-root kernel
+call of a joint search.
 """
 
 from __future__ import annotations
@@ -50,7 +74,8 @@ class InfeasibleError(ValueError):
 class SolveStats:
     """Work of one solve.
 
-    ``nodes`` and ``proof_s`` are the optimizing kernel's nodes and seconds;
+    ``nodes`` and ``proof_s`` are the optimizing kernel's nodes and seconds,
+    summed over the ``parts`` the proof solved apart (:func:`_parts`);
     ``canon_s`` and ``canon_calls`` are the seconds and feasibility-kernel
     calls of the canonical-witness pass (zero when ``deterministic=False``);
     ``elapsed`` covers the whole solve.
@@ -61,6 +86,7 @@ class SolveStats:
     proof_s: float = 0.0
     canon_s: float = 0.0
     canon_calls: int = 0
+    parts: int = 1
 
 
 @dataclass(frozen=True)
@@ -274,18 +300,31 @@ def _dominance_filter(masks: list[int]) -> list[int]:
 
     The result, smallest masks first, is the scan order of the cover kernels.
     A kept subset of m has its lowest vertex in m, so m is checked only
-    against the kept masks whose lowest bit m contains.
+    against the kept masks filed under one of its own bits: the cost is the
+    masks' total size, not the number of masks kept.
     """
-    masks = sorted(set(masks), key=lambda m: m.bit_count())
+    masks = sorted(set(masks), key=int.bit_count)
     if masks and masks[0] == 0:
         return [0]  # the empty requirement is a subset of every other
     kept: list[int] = []
     by_lowest: dict[int, list[int]] = {}
     for m in masks:
-        if not any(k & m == k for low, filed in by_lowest.items() if low & m for k in filed):
+        if not _has_filed_subset(m, by_lowest):
             kept.append(m)
             by_lowest.setdefault(m & -m, []).append(m)
     return kept
+
+
+def _has_filed_subset(m: int, by_lowest: dict[int, list[int]]) -> bool:
+    """Whether a mask filed under one of m's bits is a subset of m."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for k in by_lowest.get(low, ()):
+            if k & m == k:
+                return True
+    return False
 
 
 def _conflicts(cov: list[int]) -> list[int]:
@@ -309,6 +348,87 @@ def _conflicts(cov: list[int]) -> list[int]:
             near |= holders[low.bit_length() - 1]
         conf.append(near & ~(1 << a))
     return conf
+
+
+#: Components :func:`_parts` peels off by closure sweeps before it merges
+#: the rest by union-find: each sweep is a pass over the sets left, so a
+#: few are cheaper than union-find's per-vertex work, and many are not.
+_PEELED_PARTS = 8
+
+
+def _parts(n: int, sets: list[int]) -> list[tuple[int, list[int]]]:
+    """The connected components of the nonempty ``sets`` (sets of the n
+    vertices, joined when they share a vertex), when there are two or more:
+    a (support, indices of its sets) pair per component, lowest vertex
+    first.  With one component or none there is nothing to prove apart, and
+    the list is empty.
+
+    A closure sweep, widest sets first, settles most connected families in
+    one pass over the sets.  Otherwise up to ``_PEELED_PARTS`` components
+    are peeled off by such sweeps, and the rest are merged by union-find
+    (:func:`_merged_parts`), so the cost stays near-linear in the sets'
+    total size.
+    """
+    comp, total = max(sets, default=0), 0
+    for m in reversed(sets):
+        total |= m
+        if m & comp:
+            comp |= m
+    before = 0
+    while comp != total and comp != before:
+        before = comp
+        for m in sets:
+            if m & comp:
+                comp |= m
+    if comp == total:
+        return []
+    # comp is now a whole component
+    parts = []
+    rest = [i for i, m in enumerate(sets) if m]
+    while True:
+        members, left = [], []
+        for i in rest:
+            (members if sets[i] & comp else left).append(i)
+        parts.append((comp, members))
+        rest = left
+        if not rest or len(parts) == _PEELED_PARTS:
+            break
+        comp, before = sets[rest[-1]], 0
+        while comp != before:
+            before = comp
+            for i in rest:
+                if sets[i] & comp:
+                    comp |= sets[i]
+    if rest:
+        parts += _merged_parts(n, sets, rest)
+    return sorted(parts, key=lambda part: part[0] & -part[0])
+
+
+def _merged_parts(n: int, sets: list[int], indices: list[int]) -> list[tuple[int, list[int]]]:
+    """:func:`_parts`'s (support, indices) pairs for the nonempty sets at
+    ``indices``, by union-find over the n vertices."""
+    lead = list(range(n))
+
+    def find(v: int) -> int:
+        while lead[v] != v:
+            lead[v] = v = lead[lead[v]]
+        return v
+
+    for i in indices:
+        m = sets[i]
+        a = find((m & -m).bit_length() - 1)
+        m &= m - 1
+        while m:
+            lead[find((m & -m).bit_length() - 1)] = a
+            m &= m - 1
+    groups: dict[int, tuple[int, list[int]]] = {}
+    for i in indices:
+        m = sets[i]
+        a = find((m & -m).bit_length() - 1)
+        support, members = groups.get(a, (0, []))
+        members.append(i)
+        groups[a] = (support | m, members)
+    return list(groups.values())
 
 
 def _kernel_bug(kind: ParamKind, n: int, what: str) -> RuntimeError:
@@ -399,6 +519,86 @@ def _canonical(n: int, fewest: int, witness: int, feasible) -> tuple[int, int]:
     return chosen, calls
 
 
+def _prove_apart(parts, search, roots, minimizes: bool) -> tuple[int, int, int]:
+    """(optimum, witness mask, nodes) over the sets that meet some root,
+    proven one part at a time: ``parts`` is :func:`_parts`'s list, and
+    ``search(i, forced, banned)`` is the kernel proof of part i alone from
+    one root, or raises ValueError when the root admits no set.
+
+    A root's value is the sum of its parts' optima, plus one for each forced
+    vertex of a cover outside every part.  The best root wins, the first
+    among ties, and its witness is the union of its parts' witnesses.  A
+    part is searched at most once per distinct restriction of a root to its
+    support, and not at all when the restriction bans all of it: only the
+    empty set is left, which meets no requirement of a cover and packs
+    nothing.  A search that raises adds no nodes.
+
+    A weaker restriction of a part (fewer forced and banned vertices) has an
+    optimum at least as good, so the parts' optima found so far bound a
+    later root's value.  A root whose bound cannot beat the best is skipped
+    unsearched: with the orbital roots of a quotient, the root that bans W
+    and V leaves the W/V part of an open cover no set, and packs nothing
+    there but what the first root's U part already packed.
+    """
+    outside = 0
+    for support, _members in parts:
+        outside |= support
+    outside = ~outside
+    # per part: (forced, banned) restriction -> (value, witness, nodes), or
+    # None when the part admits no set under it
+    optima: list[dict[tuple[int, int], tuple[int, int, int] | None]] = [{} for _ in parts]
+    best = None
+    nodes = 0
+    for forced, banned in roots:
+        if forced & banned:
+            continue
+        witness = forced & outside
+        value = witness.bit_count() if minimizes else 0
+        keys = [(forced & support, banned & support) for support, _members in parts]
+        for (support, _members), known, (f, b) in zip(parts, optima, keys):
+            if not support & ~b:
+                known[f, b] = None if minimizes else (0, 0, 0)
+        if best is not None and not _may_beat(optima, keys, value, best[0], minimizes):
+            continue
+        for known, (i, key) in zip(optima, enumerate(keys)):
+            if key not in known:
+                try:
+                    known[key] = search(i, *key)
+                    nodes += known[key][2]
+                except ValueError:
+                    known[key] = None
+            found = known[key]
+            if found is None:
+                break
+            value += found[0]
+            witness |= found[1]
+        else:
+            if best is None or (value < best[0] if minimizes else value > best[0]):
+                best = value, witness
+    if best is None:
+        raise ValueError("infeasible: no root admits a set")
+    return best[0], best[1], nodes
+
+
+def _may_beat(optima, keys, value: int, best: int, minimizes: bool) -> bool:
+    """Whether a root with these part restrictions, and ``value`` from the
+    vertices outside every part, may beat ``best``, judged by the optima of
+    restrictions no stronger than its own (:func:`_prove_apart`)."""
+    bound = value
+    for known, (f, b) in zip(optima, keys):
+        weaker = [found for (f2, b2), found in known.items() if not f2 & ~f and not b2 & ~b]
+        if None in weaker:
+            return False
+        values = [found[0] for found in weaker]
+        if minimizes:
+            bound += max(values, default=0)
+        elif values:
+            bound += min(values)
+        else:
+            return True
+    return bound < best if minimizes else bound > best
+
+
 def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots=None) -> SolveResult:
     """Prove the exact parameter value and return a verified witness.
 
@@ -420,8 +620,14 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
     # fewest vertices of an optimum and the size limit of the proof's witness
     if kind.minimizes:
         reqs = _dominance_filter(_cover_requirements(g, kind))
+        parts = _parts(n, reqs)
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_cover(n, reqs, roots)
+        if parts:
+            masks = [[reqs[i] for i in members] for _support, members in parts]
+            search = lambda i, forced, banned: kern.solve_cover(n, masks[i], ((forced, banned),))
+            value, wit_mask, nodes = _prove_apart(parts, search, roots, True)
+        else:
+            value, wit_mask, nodes = kern.solve_cover(n, reqs, roots)
         t_canon = time.perf_counter()
         call = lambda forced, banned, size: kern.cover_feasible(n, reqs, forced, banned, size)
         fault = lambda found: None if all(m & found for m in reqs) else "witness misses a requirement"
@@ -429,8 +635,17 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
     else:
         cov = list(g.closed_masks() if kind == ParamKind.F_MAX else g.open_masks())
         conf = _conflicts(cov)
+        # two vertices conflict when their coverage masks share a vertex, so
+        # the components of the coverage masks are those of the conflicts
+        parts = [(sum(1 << v for v in members), members) for _covered, members in _parts(n, cov)]
         t_proof = time.perf_counter()
-        value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf)
+        if parts:
+            # a part's search bans every vertex outside it
+            outside = [((1 << n) - 1) & ~support for support, _members in parts]
+            search = lambda i, forced, banned: kern.solve_pack(n, cov, ((forced, banned | outside[i]),), conf)
+            value, wit_mask, nodes = _prove_apart(parts, search, roots, False)
+        else:
+            value, wit_mask, nodes = kern.solve_pack(n, cov, roots, conf)
         t_canon = time.perf_counter()
         call = lambda forced, banned, size: kern.pack_feasible(n, cov, forced, banned, value, size, conf)
         fault = lambda found: _pack_fault(cov, value, found)
@@ -454,6 +669,7 @@ def solve(g: FiniteGraph, kind: ParamKind, deterministic: bool = True, *, _roots
         proof_s=t_canon - t_proof,
         canon_s=t_end - t_canon if deterministic else 0.0,
         canon_calls=calls,
+        parts=len(parts) or 1,
     )
     return SolveResult(kind=kind, value=value, witness=witness, stats=stats)
 

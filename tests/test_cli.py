@@ -83,6 +83,29 @@ def test_solve_prints_proof_and_canonical_stats(capsys):
     assert re.search(r"nodes=\d+ elapsed=[\d.]+s proof=[\d.]+s canon=[\d.]+s canon_calls=\d+ backend=\w+", line)
 
 
+def test_solve_stats_line_counts_the_parts_proven_apart(capsys, tmp_path):
+    """On an edgeless graph every vertex is its own part, and the stats line
+    says so; a connected block is one part."""
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("p 6 0\n")
+    code, out, _ = run(capsys, "solve", "--input", str(edgeless), "--param", "gamma")
+    assert code == 0 and "gamma = 6" in out
+    assert next(ln for ln in out.splitlines() if ln.startswith("stats:")).endswith(" parts=6")
+    code, out, _ = run(capsys, "solve", "--family", "tbt", "--rows", "1", "--param", "ld")
+    assert code == 0
+    assert next(ln for ln in out.splitlines() if ln.startswith("stats:")).endswith(" parts=1")
+
+
+def test_verbose_sweep_lines_count_the_parts(capsys, monkeypatch):
+    """-vv reports the parts of each representative's proof: OLD on a
+    quotient is two, one per side of the bipartition."""
+    monkeypatch.setenv("TB_THREADS", "1")
+    code, _out, err = run(capsys, "-vv", "density", "--param", "old", "--max-det", "8")
+    debug = [ln for ln in err.splitlines() if "DEBUG tumbling: old on " in ln]
+    assert code == 0 and debug
+    assert all(" nodes, 2 parts, " in ln for ln in debug), debug
+
+
 def test_solve_brute_matches(capsys):
     code, out, _ = run(capsys, "solve", "--family", "tbt", "--rows", "1",
                        "--param", "gamma", "--brute")
@@ -280,9 +303,11 @@ def _assert_emitted_stats_are_ignored(capsys, tmp_path, *argv):
     assert run(capsys, *argv, "--emit", str(rec))[0] == 0
     payload = json.loads(rec.read_text())
     stats = payload["stats"]
-    assert set(stats) == {"nodes", "elapsed", "proof_s", "canon_s", "canon_calls"}
-    assert stats["nodes"] > 0 and stats["canon_calls"] > 0
-    for bad in (None, "x", {"nodes": -1}):
+    assert set(stats) == {"nodes", "elapsed", "proof_s", "canon_s", "canon_calls", "parts"}
+    assert stats["nodes"] > 0 and stats["canon_calls"] > 0 and stats["parts"] >= 1
+    # a record written before stats carried parts still verifies
+    before_parts = {key: value for key, value in stats.items() if key != "parts"}
+    for bad in (None, "x", {"nodes": -1}, before_parts):
         code, out, _ = _verify_payload(capsys, tmp_path, {**payload, "stats": bad})
         assert (code, out) == (0, "OK\n")
 

@@ -487,13 +487,19 @@ def test_orbital_solve_matches_plain_solve(kind):
 #: proof nodes of the det <= 12 sweeps, summed over the representatives.
 #: Before tight-packing fixing in the cover kernels: LD 12,595, IC 19,978,
 #: OLD 45,929; with it, before the narrowest-first packing bound: LD 6,316,
-#: IC 10,575, OLD 16,036.
-SWEEP_12_NODES = {ParamKind.LD: 2_311, ParamKind.IC: 4_473, ParamKind.OLD: 12_316}
+#: IC 10,575, OLD 16,036.  OLD's requirements lie on the two sides of the
+#: bipartite lattice, and the sides proven apart take 12,316 -> 936 nodes;
+#: LD and IC are one part each.
+SWEEP_12_NODES = {ParamKind.LD: 2_311, ParamKind.IC: 4_473, ParamKind.OLD: 936}
 #: proof nodes of the det <= 16 LD sweep (about 0.4 s); 88,321 before the
 #: narrowest-first packing bound
 SWEEP_16_LD_NODES = 23_228
+#: proof nodes of the det <= 16 OLD sweep, its two sides proven apart;
+#: 292,874 (about 2 s) when they were searched as one product
+SWEEP_16_OLD_NODES = 12_788
 _SWEEP_PINS = [pytest.param(kind, 12, nodes, id=kind.value) for kind, nodes in SWEEP_12_NODES.items()] + [
-    pytest.param(ParamKind.LD, 16, SWEEP_16_LD_NODES, id="ld-det16")
+    pytest.param(ParamKind.LD, 16, SWEEP_16_LD_NODES, id="ld-det16"),
+    pytest.param(ParamKind.OLD, 16, SWEEP_16_OLD_NODES, id="old-det16"),
 ]
 
 

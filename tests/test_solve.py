@@ -597,9 +597,11 @@ def test_pack_search_closes_a_node_its_size_cap_cannot_lift():
 
 #: F and F-OP on TBP 4x4 and q(4,0,4): nodes of the canonical pass's
 #: feasibility searches, 64,103 before the size-cap bound; and proof nodes,
-#: which the bound never changes (a proof's cap is n)
+#: which the bound never changes (a proof's cap is n).  F-OP's conflicts lie
+#: on the two sides of the bipartite lattice, and the sides proven apart
+#: take the proofs 37,490 -> 7,030 nodes.
 CANON_PACK_NODES = 5_923
-PROOF_PACK_NODES = 37_490
+PROOF_PACK_NODES = 7_030
 
 
 def test_canonical_packing_nodes_are_pinned(monkeypatch):
@@ -660,10 +662,12 @@ def _load_fixture_generator():
     return mod
 
 
-#: stats.canon_calls summed over the cases of the canonical-witness fixture,
-#: as the separate feasibility searches made them: the canonical pass makes
-#: the same kernel calls whichever search answers them
-FIXTURE_CANON_CALLS = 6556
+#: stats.canon_calls summed over the cases of the canonical-witness fixture.
+#: The pass skips the search for each vertex of the witness it starts from,
+#: so the count depends on which optimum the proof returned: 6,556 -> 6,559
+#: when the proof began to solve independent parts apart, with every stored
+#: witness unchanged.
+FIXTURE_CANON_CALLS = 6559
 
 
 def test_canonical_witnesses_match_fixture():
@@ -686,3 +690,202 @@ def test_canonical_witnesses_match_fixture():
         got = gen.solve_case(entry["graph"], ParamKind(entry["kind"]))
         assert got == entry, entry["graph"]
     assert sum(canon_calls) == FIXTURE_CANON_CALLS
+
+
+# --- independent parts ------------------------------------------------------
+
+def _definitional_objective(nbr, kind, s):
+    """The kind's objective of the vertex mask s on the graph whose open
+    neighbourhood masks are ``nbr``, read off the definitions, or None when
+    s does not meet them."""
+    n = len(nbr)
+    closed = kind in (ParamKind.GAMMA, ParamKind.IC, ParamKind.F_MAX)
+    codes = [(nbr[v] | 1 << v if closed else nbr[v]) & s for v in range(n)]
+    if not kind.minimizes:
+        return None if any(c.bit_count() > 1 for c in codes) else sum(c != 0 for c in codes)
+    if kind == ParamKind.LD:
+        codes = [codes[v] for v in range(n) if not s >> v & 1]
+    if not all(codes):
+        return None
+    if kind in (ParamKind.LD, ParamKind.IC, ParamKind.OLD) and len(set(codes)) < len(codes):
+        return None
+    return s.bit_count()
+
+
+def _disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(a + offset, b + offset) for a, b in g.edges()]
+        offset += g.n
+    return FiniteGraph.from_edges(offset, edges)
+
+
+def _random_bipartite(left, right, p, seed):
+    import random
+
+    rng = random.Random(seed)
+    edges = [(a, left + b) for a in range(left) for b in range(right) if rng.random() < p]
+    return FiniteGraph.from_edges(left + right, edges)
+
+
+def _split_cases():
+    """Seeded graphs with n <= 14 whose requirements fall apart: disjoint
+    unions of random graphs (isolated vertices among them) and random
+    bipartite graphs, each with one to three random roots."""
+    import random
+
+    rng = random.Random(20261021)
+    for trial in range(24):
+        if trial % 2:
+            left = rng.randint(2, 7)
+            g = _random_bipartite(left, rng.randint(2, 14 - left), rng.choice((0.3, 0.5)), 5000 + trial)
+        else:
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(2, 3))]
+            sizes[-1] = min(sizes[-1], 14 - sum(sizes[:-1]))
+            g = _disjoint_union(*(random_graph(k, rng.choice((0.4, 0.7)), 6000 + 10 * trial + i)
+                                  for i, k in enumerate(sizes)))
+        n = g.n
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            forced = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+            banned = rng.getrandbits(n) & rng.getrandbits(n) & ~forced
+            roots.append((forced, banned))
+        yield g, roots
+
+
+def test_parts_proven_apart_match_enumeration_over_the_roots():
+    """On families that split into several parts, the optimum over the sets
+    that meet some root is plain enumeration's, the witness meets a root,
+    and a ValueError means no set meets one."""
+    split = 0
+    for g, roots in _split_cases():
+        nbr = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
+        for kind in ParamKind:
+            values = [
+                value for s in range(1 << g.n)
+                if _meets_root(s, roots) and (value := _definitional_objective(nbr, kind, s)) is not None
+            ]
+            if not values:
+                with pytest.raises(ValueError):
+                    solve(g, kind, deterministic=False, _roots=roots)
+                continue
+            res = solve(g, kind, deterministic=False, _roots=roots)
+            best = min(values) if kind.minimizes else max(values)
+            assert res.value == best, (g.adj, kind, roots)
+            mask = sum(1 << v for v in res.witness)
+            assert _meets_root(mask, roots) and _definitional_objective(nbr, kind, mask) == best
+            split += res.stats.parts > 1
+    assert split >= 60
+
+
+def test_a_root_is_valued_over_all_its_parts_at_once():
+    """gamma-op on P4 plus two triangles.  P4's requirements are {1} and {2},
+    so its ends 0 and 3 lie outside every part.  Root A forces 0 and all of
+    the first triangle, root B forces 3 and all of the second, so each root
+    costs 1 + 2 + 3 + 2 = 8.  Taking each part's best root on its own would
+    read 7: a triangle at 2 from the other root, and one forced end."""
+    g = _disjoint_union(path(4), complete(3), complete(3))
+    roots = [(sum(1 << v for v in (0, 4, 5, 6)), 0), (sum(1 << v for v in (3, 7, 8, 9)), 0)]
+    nbr = [sum(1 << x for x in g.adj[v]) for v in range(g.n)]
+    sizes = [s.bit_count() for s in range(1 << g.n)
+             if _meets_root(s, roots) and _definitional_objective(nbr, ParamKind.GAMMA_OP, s) is not None]
+    assert min(sizes) == 8
+    res = solve(g, ParamKind.GAMMA_OP, deterministic=False, _roots=roots)
+    assert (res.value, res.stats.parts) == (8, 4)
+    assert _meets_root(sum(1 << v for v in res.witness), roots)
+
+
+def test_parts_match_a_breadth_first_search():
+    """The components of random set families, with empty sets and with more
+    components than are peeled off by closure sweeps, are those a plain
+    breadth-first search over shared vertices finds."""
+    import random
+
+    from tumbling.solvers import _PEELED_PARTS, _parts
+
+    def bfs_parts(sets):
+        left = [i for i, m in enumerate(sets) if m]
+        parts = []
+        while left:
+            members, support = [left[0]], sets[left[0]]
+            grown = True
+            while grown:
+                grown = False
+                for i in left:
+                    if i not in members and sets[i] & support:
+                        members.append(i)
+                        support |= sets[i]
+                        grown = True
+            parts.append((support, sorted(members)))
+            left = [i for i in left if i not in members]
+        return sorted(parts, key=lambda part: part[0] & -part[0]) if len(parts) > 1 else []
+
+    rng = random.Random(20261022)
+    many = 0
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        width = rng.choice((1, 2, 3))
+        sets = [sum(1 << rng.randrange(n) for _ in range(rng.randint(0, width))) for _ in range(rng.randint(0, 30))]
+        assert _parts(n, sets) == bfs_parts(sets), sets
+        many += len(bfs_parts(sets)) > _PEELED_PARTS
+    assert many >= 30
+
+
+def test_a_connected_ld_or_ic_family_makes_one_kernel_call(monkeypatch):
+    """LD and IC on a connected lattice family are one part each, so the
+    proof is the one kernel call it always was, with every root in it."""
+    import types
+
+    import tumbling.density as density_mod
+    import tumbling.solvers as solve_mod
+    from tumbling.lattice import FamilyKind, FamilySpec, build_family
+
+    calls = []
+
+    def recording_solve_cover(n, reqs, roots):
+        calls.append(tuple(roots))
+        return _kernels_py.solve_cover(n, reqs, roots)
+
+    stub = types.SimpleNamespace(
+        MAX_N=_kernels_py.MAX_N, solve_cover=recording_solve_cover, cover_feasible=_kernels_py.cover_feasible
+    )
+    monkeypatch.setattr(solve_mod, "kernels_for", lambda n: stub)
+    res = solve(build_family(FamilySpec(FamilyKind.TBP, 3, 3)), ParamKind.LD)
+    assert (calls, res.stats.parts) == ([PLAIN], 1)
+    calls.clear()
+    q = LatticeQuotient(3, 0, 4)
+    rec = density_mod._solve_quotient(ParamKind.IC, q, deterministic=False)
+    assert (calls, rec.stats.parts) == ([density_mod._orbit_roots(q)], 1)
+
+
+@pytest.mark.parametrize("kind", [ParamKind.GAMMA_OP, ParamKind.OLD, ParamKind.F_OP_MAX], ids=lambda k: k.value)
+def test_open_kinds_on_a_quotient_split_along_the_bipartition(kind):
+    """The lattice is bipartite, U against W and V, and an open kind's
+    requirements and coverage lie on one side each: two parts, solved to the
+    optimum of one joint kernel search."""
+    import tumbling.density as density_mod
+
+    q = LatticeQuotient(3, 0, 4)
+    g = build_quotient(q)
+    rec = density_mod._solve_quotient(kind, q, deterministic=True)
+    if kind.minimizes:
+        joint = _kernels_py.solve_cover(g.n, _dominance_filter(_cover_requirements(g, kind)), PLAIN)
+    else:
+        cov = list(g.open_masks())
+        joint = _kernels_py.solve_pack(g.n, cov, PLAIN, _conflicts(cov))
+    assert (rec.stats.parts, rec.size) == (2, joint[0])
+    assert verify_witness(g, kind, rec.witness, rec.size)
+
+
+def test_gamma_on_isolated_vertices_is_one_part_per_vertex():
+    """Each isolated vertex is its own part.  Finding the parts is
+    near-linear, so 2,000 of them take a fraction of the 2.8 s that the
+    greedy bound of one joint search took."""
+    import time
+
+    g = FiniteGraph([[] for _ in range(2000)])
+    t0 = time.perf_counter()
+    res = solve(g, ParamKind.GAMMA)
+    elapsed = time.perf_counter() - t0
+    assert (res.value, res.stats.parts, res.witness) == (2000, 2000, tuple(range(2000)))
+    assert elapsed < 1.4
