@@ -300,31 +300,18 @@ def _dominance_filter(masks: list[int]) -> list[int]:
 
     The result, smallest masks first, is the scan order of the cover kernels.
     A kept subset of m has its lowest vertex in m, so m is checked only
-    against the kept masks filed under one of its own bits: the cost is the
-    masks' total size, not the number of masks kept.
+    against the kept masks whose lowest bit m contains.
     """
-    masks = sorted(set(masks), key=int.bit_count)
+    masks = sorted(set(masks), key=lambda m: m.bit_count())
     if masks and masks[0] == 0:
         return [0]  # the empty requirement is a subset of every other
     kept: list[int] = []
     by_lowest: dict[int, list[int]] = {}
     for m in masks:
-        if not _has_filed_subset(m, by_lowest):
+        if not any(k & m == k for low, filed in by_lowest.items() if low & m for k in filed):
             kept.append(m)
             by_lowest.setdefault(m & -m, []).append(m)
     return kept
-
-
-def _has_filed_subset(m: int, by_lowest: dict[int, list[int]]) -> bool:
-    """Whether a mask filed under one of m's bits is a subset of m."""
-    rest = m
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        for k in by_lowest.get(low, ()):
-            if k & m == k:
-                return True
-    return False
 
 
 def _conflicts(cov: list[int]) -> list[int]:
@@ -350,12 +337,6 @@ def _conflicts(cov: list[int]) -> list[int]:
     return conf
 
 
-#: Components :func:`_parts` peels off by closure sweeps before it merges
-#: the rest by union-find: each sweep is a pass over the sets left, so a
-#: few are cheaper than union-find's per-vertex work, and many are not.
-_PEELED_PARTS = 8
-
-
 def _parts(n: int, sets: list[int]) -> list[tuple[int, list[int]]]:
     """The connected components of the nonempty ``sets`` (sets of the n
     vertices, joined when they share a vertex), when there are two or more:
@@ -363,50 +344,19 @@ def _parts(n: int, sets: list[int]) -> list[tuple[int, list[int]]]:
     first.  With one component or none there is nothing to prove apart, and
     the list is empty.
 
-    A closure sweep, widest sets first, settles most connected families in
-    one pass over the sets.  Otherwise up to ``_PEELED_PARTS`` components
-    are peeled off by such sweeps, and the rest are merged by union-find
-    (:func:`_merged_parts`), so the cost stays near-linear in the sets'
-    total size.
+    One sweep from the last set back grows a component from the largest
+    mask (by value); when it takes in every vertex the sets hold, the family
+    is connected, as most are.  Otherwise union-find over the n vertices
+    finds the components, so the cost is near-linear in the sets' total
+    size whatever their order.
     """
     comp, total = max(sets, default=0), 0
     for m in reversed(sets):
         total |= m
         if m & comp:
             comp |= m
-    before = 0
-    while comp != total and comp != before:
-        before = comp
-        for m in sets:
-            if m & comp:
-                comp |= m
     if comp == total:
         return []
-    # comp is now a whole component
-    parts = []
-    rest = [i for i, m in enumerate(sets) if m]
-    while True:
-        members, left = [], []
-        for i in rest:
-            (members if sets[i] & comp else left).append(i)
-        parts.append((comp, members))
-        rest = left
-        if not rest or len(parts) == _PEELED_PARTS:
-            break
-        comp, before = sets[rest[-1]], 0
-        while comp != before:
-            before = comp
-            for i in rest:
-                if sets[i] & comp:
-                    comp |= sets[i]
-    if rest:
-        parts += _merged_parts(n, sets, rest)
-    return sorted(parts, key=lambda part: part[0] & -part[0])
-
-
-def _merged_parts(n: int, sets: list[int], indices: list[int]) -> list[tuple[int, list[int]]]:
-    """:func:`_parts`'s (support, indices) pairs for the nonempty sets at
-    ``indices``, by union-find over the n vertices."""
     lead = list(range(n))
 
     def find(v: int) -> int:
@@ -414,21 +364,21 @@ def _merged_parts(n: int, sets: list[int], indices: list[int]) -> list[tuple[int
             lead[v] = v = lead[lead[v]]
         return v
 
-    for i in indices:
-        m = sets[i]
-        a = find((m & -m).bit_length() - 1)
-        m &= m - 1
-        while m:
-            lead[find((m & -m).bit_length() - 1)] = a
+    for m in sets:
+        if m:
+            a = find((m & -m).bit_length() - 1)
             m &= m - 1
+            while m:
+                lead[find((m & -m).bit_length() - 1)] = a
+                m &= m - 1
     groups: dict[int, tuple[int, list[int]]] = {}
-    for i in indices:
-        m = sets[i]
-        a = find((m & -m).bit_length() - 1)
-        support, members = groups.get(a, (0, []))
-        members.append(i)
-        groups[a] = (support | m, members)
-    return list(groups.values())
+    for i, m in enumerate(sets):
+        if m:
+            a = find((m & -m).bit_length() - 1)
+            support, members = groups.get(a, (0, []))
+            members.append(i)
+            groups[a] = (support | m, members)
+    return sorted(groups.values(), key=lambda part: part[0] & -part[0]) if len(groups) > 1 else []
 
 
 def _kernel_bug(kind: ParamKind, n: int, what: str) -> RuntimeError:

@@ -495,7 +495,7 @@ SWEEP_12_NODES = {ParamKind.LD: 2_311, ParamKind.IC: 4_473, ParamKind.OLD: 936}
 #: narrowest-first packing bound
 SWEEP_16_LD_NODES = 23_228
 #: proof nodes of the det <= 16 OLD sweep, its two sides proven apart;
-#: 292,874 (about 2 s) when they were searched as one product
+#: 292,874 when they were searched as one product
 SWEEP_16_OLD_NODES = 12_788
 _SWEEP_PINS = [pytest.param(kind, 12, nodes, id=kind.value) for kind, nodes in SWEEP_12_NODES.items()] + [
     pytest.param(ParamKind.LD, 16, SWEEP_16_LD_NODES, id="ld-det16"),

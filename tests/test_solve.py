@@ -796,12 +796,13 @@ def test_a_root_is_valued_over_all_its_parts_at_once():
 
 
 def test_parts_match_a_breadth_first_search():
-    """The components of random set families, with empty sets and with more
-    components than are peeled off by closure sweeps, are those a plain
-    breadth-first search over shared vertices finds."""
+    """The components of random set families, with empty sets, of two
+    chains, and of paths listed in random order (connected, but not in one
+    sweep), are those a plain breadth-first search over shared vertices
+    finds."""
     import random
 
-    from tumbling.solvers import _PEELED_PARTS, _parts
+    from tumbling.solvers import _parts
 
     def bfs_parts(sets):
         left = [i for i, m in enumerate(sets) if m]
@@ -821,14 +822,26 @@ def test_parts_match_a_breadth_first_search():
         return sorted(parts, key=lambda part: part[0] & -part[0]) if len(parts) > 1 else []
 
     rng = random.Random(20261022)
-    many = 0
+    families = []
     for _ in range(300):
         n = rng.randint(1, 40)
         width = rng.choice((1, 2, 3))
-        sets = [sum(1 << rng.randrange(n) for _ in range(rng.randint(0, width))) for _ in range(rng.randint(0, 30))]
-        assert _parts(n, sets) == bfs_parts(sets), sets
-        many += len(bfs_parts(sets)) > _PEELED_PARTS
-    assert many >= 30
+        families.append((n, [sum(1 << v for v in {rng.randrange(n) for _ in range(rng.randint(0, width))}) for _ in range(rng.randint(0, 30))]))
+    for _ in range(40):
+        # two chains of 4-sets, each listed along its length
+        cut = rng.randint(4, 56)
+        families.append((60, [15 << v for start, end in ((0, cut), (cut, 60)) for v in range(start, end - 3)]))
+    for _ in range(20):
+        n = rng.randint(20, 300)
+        path = [3 << v for v in range(n - 1)]
+        rng.shuffle(path)
+        families.append((n, path))
+    split = 0
+    for n, sets in families:
+        want = bfs_parts(sets)
+        assert _parts(n, sets) == want, sets
+        split += len(want) > 1
+    assert split >= 60
 
 
 def test_a_connected_ld_or_ic_family_makes_one_kernel_call(monkeypatch):
